@@ -13,8 +13,6 @@ import hashlib
 import json
 import sys
 
-import numpy as np
-
 from . import __version__, bridge, dynamics, kernels, phasespace, stateio
 from .errors import DomainError, GnpError, NumericalError, TruncationError
 
@@ -33,7 +31,7 @@ def _digest(path) -> str:
 
 def _echo_header(args, paths):
     print(f"gnp {__version__}")
-    print("command: " + " ".join(sys.argv[1:]))
+    print("command: " + " ".join(args.argv))
     for p in paths:
         print(f"input {p} sha256[:16]={_digest(p)}")
 
@@ -62,13 +60,9 @@ def cmd_validate(args) -> int:
 def cmd_convert(args) -> int:
     state, form = stateio.read_state(args.state)
     _echo_header(args, [args.state])
-    if args.to == form:
-        target = state.forms[form]
-    else:
-        target = kernels.ensure_form(state, args.to)
     out_state = kernels.GaussianState(
         n_modes=state.n_modes,
-        forms={args.to: np.asarray(target, dtype=complex)},
+        forms={args.to: kernels.ensure_form(state, args.to)},
         convention=args.convention,
         provenance=(state.provenance + f" | converted {form}->{args.to}").strip(" |"),
     )
@@ -100,19 +94,8 @@ def cmd_evolve(args) -> int:
     if args.method == "rk4":
         traj = dynamics.integrate_rk4(kind, X0, ham.H, args.t, args.steps)
     else:
-        times = np.linspace(0.0, args.t, max(2, args.steps + 1)) \
-            if args.t > 0 else np.array([0.0])
-        traj = dynamics.Trajectory(kind=kind, H=ham.H)
-        det0 = None
-        for t in times:
-            if kind == "covariance":
-                X = dynamics.covariance_propagate(X0, ham.H, float(t))
-            else:
-                X = dynamics.normal_propagate(X0, ham.H, float(t),
-                                              variant=args.variant)
-            if det0 is None:
-                det0 = np.linalg.det(X)
-            dynamics._log_point(traj, float(t), X, det0)
+        traj = dynamics.closed_form_trajectory(kind, X0, ham.H, args.t,
+                                               args.steps, args.variant)
     csv = stateio.trajectory_to_csv(traj)
     with open(args.output, "w") as fh:
         fh.write(csv)
@@ -257,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return args.handler(args)
     except stateio.ParseError as exc:

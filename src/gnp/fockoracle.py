@@ -139,15 +139,12 @@ def _check_tail(rho: FockOperator, context: str):
 
 def _project_to_cutoff(rho_big, n_modes: int, big: int, cutoff: int):
     """Keep the cutoff^n top-left tensor block of a density on a larger space."""
-    keep = np.zeros(big ** n_modes, dtype=bool)
     idx = np.arange(big ** n_modes)
-    ok = np.ones_like(idx, dtype=bool)
+    keep = np.ones_like(idx, dtype=bool)
     for _ in range(n_modes):
-        ok &= (idx % big) < cutoff
+        keep &= (idx % big) < cutoff
         idx = idx // big
-    keep[:] = ok
-    sub = rho_big[np.ix_(keep, keep)]
-    return sub
+    return rho_big[np.ix_(keep, keep)]
 
 
 def gaussian_density(spec: PhysicalSpec, cutoff: int,
@@ -287,10 +284,8 @@ def derivative_identity_check(rho: FockOperator, z,
     a = annihilator(1, 1, rho.cutoff).matrix
     ad = a.conj().T
 
-    flagged = False
-    note = ""
     try:
-        v = coherent_vector(z + 2 * h * (1 + 1j), rho.cutoff)
+        coherent_vector(z + 2 * h * (1 + 1j), rho.cutoff)
     except TruncationError as exc:
         return DerivativeIdentityReport(float("nan"), float("nan"), True, str(exc))
 
@@ -325,6 +320,5 @@ def derivative_identity_check(rho: FockOperator, z,
     return DerivativeIdentityReport(
         residual_rho_a=float(np.abs(lhs_rho_a - rhs_rho_a).max()),
         residual_at_rho=float(np.abs(lhs_at_rho - rhs_at_rho).max()),
-        truncation_flagged=flagged,
-        note=note,
+        truncation_flagged=False,
     )

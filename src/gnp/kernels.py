@@ -428,6 +428,18 @@ DEFAULT_BRIDGE = ConventionBridge(
     r_map="negate", prefactor_rule="trace-normalized", residual=2.755e-10
 )
 
+# convention -> (bridge map, prefactor rule); calibrated is the measured bridge
+_CONVENTIONS = {
+    AS_PUBLISHED: ("identity", "sqrt-det-R"),
+    CALIBRATED: (DEFAULT_BRIDGE.r_map, DEFAULT_BRIDGE.prefactor_rule),
+}
+
+
+def _convention(convention: str):
+    if convention not in _CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    return _CONVENTIONS[convention]
+
 
 def _husimi_real_form(R) -> np.ndarray:
     """Real 2n x 2n quadratic form of Re[(1/2) Z^T R Z] in (x, y) coordinates."""
@@ -464,18 +476,20 @@ def prefactor(R, mode: str = AS_PUBLISHED) -> Prefactor:
     as-published: principal sqrt(det R); non-real values are flagged.
     calibrated: trace-normalizing constant N with N Tr(:exp(-A^T R A / 2):) = 1.
     """
-    R = np.asarray(R, dtype=complex)
-    det = matcore.determinant(R)
-    if abs(det) < 1e-300:
+    _, rule = _convention(mode)
+    if abs(matcore.determinant(R)) < 1e-300:
         raise NumericalError("singular R: det R = 0")
-    if mode == AS_PUBLISHED:
-        value = complex(np.sqrt(det))
-        is_real = abs(value.imag) <= 1e-12 * max(abs(value), 1.0)
-        return Prefactor(value=value, rule="sqrt-det-R", is_real=is_real)
-    if mode == CALIBRATED:
-        N = 1.0 / trace_of_normal_exponential(R)
-        return Prefactor(value=complex(N), rule="trace-normalized", is_real=True)
-    raise ValueError(f"unknown prefactor mode {mode!r}")
+    value = prefactor_by_rule(R, rule)
+    is_real = abs(value.imag) <= 1e-12 * max(abs(value), 1.0)
+    return Prefactor(value=value, rule=rule, is_real=is_real)
+
+
+def resolve_convention(R, convention: str) -> tuple[complex, np.ndarray]:
+    """(prefactor, mapped R): the normal-product kernel under a convention's
+    bridge map, and the prefactor of the mapped kernel."""
+    r_map, _ = _convention(convention)
+    R = apply_r_map(R, r_map)
+    return prefactor(R, convention).value, R
 
 
 def prefactor_by_rule(R, rule: str) -> complex:

@@ -125,6 +125,7 @@ def determinant(M) -> complex:
 def dense_solve(M, B) -> np.ndarray:
     """Solve M X = B, refusing near-singular systems.
 
+    B may be a stack (m, d, k); each system then meets the residual bound alone.
     The inverse of M is dense_solve(M, I).
     """
     M = _as_square(M)
@@ -133,8 +134,9 @@ def dense_solve(M, B) -> np.ndarray:
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise NumericalError(f"matrix condition {cond:.3e} exceeds {COND_LIMIT:.1e}")
     X = np.linalg.solve(M, B)
-    scale = max(np.linalg.norm(B), 1e-300)
-    residual = np.linalg.norm(M @ X - B) / scale
+    axes = (-1,) if B.ndim == 1 else (-2, -1)
+    scale = np.maximum(np.linalg.norm(B, axis=axes), 1e-300)
+    residual = float(np.max(np.linalg.norm(M @ X - B, axis=axes) / scale))
     if residual > TOL_SOLVE:
         raise NumericalError(f"solve residual {residual:.3e} > {TOL_SOLVE:.0e}")
     return X

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels, matcore
 from .errors import DomainError
-from .kernels import AS_PUBLISHED, CALIBRATED, DEFAULT_BRIDGE, GaussianState
+from .kernels import AS_PUBLISHED, CALIBRATED, GaussianState
 from .matcore import structured
 
 MEASURE_NOTE = "d^2z/pi per mode"
@@ -41,10 +41,10 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class PhaseGrid:
+    """Single-mode grid over Re z and Im z."""
+
     re_range: Tuple[float, float, int]
     im_range: Tuple[float, float, int]
-    mode_index: int = 0
-    fixed_amplitudes: tuple = ()
 
     def __post_init__(self):
         for lo, hi, count in (self.re_range, self.im_range):
@@ -56,17 +56,8 @@ class PhaseGrid:
     def points(self) -> List[PhasePoint]:
         res = np.linspace(*self.re_range)
         ims = np.linspace(*self.im_range)
-        out = []
-        fixed = [complex(c) for c in self.fixed_amplitudes]
-        n = len(fixed) + 1
-        for re in res:            # row-major over (re, im)
-            for im in ims:
-                z = np.zeros(n, dtype=complex)
-                others = iter(fixed)
-                for k in range(n):
-                    z[k] = re + 1j * im if k == self.mode_index else next(others)
-                out.append(PhasePoint(z=z))
-        return out
+        # row-major over (re, im)
+        return [PhasePoint.of(re + 1j * im) for re in res for im in ims]
 
 
 @dataclass
@@ -85,7 +76,7 @@ class PhaseTable:
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["re", "im", "value_re", "value_im"])
         for p, v in zip(self.points, self.values):
-            z = p.z[0] if len(p.z) == 1 else p.z[0]
+            z = p.z[0]
             w.writerow([repr(float(z.real)), repr(float(z.imag)),
                         repr(float(v.real)), repr(float(v.imag))])
         return buf.getvalue()
@@ -114,12 +105,39 @@ class PhaseTable:
         return table
 
 
-def _as_point(Z) -> PhasePoint:
-    return Z if isinstance(Z, PhasePoint) else PhasePoint.of(Z)
+def _row(Z) -> np.ndarray:
+    """A phase point as a stack of one Z vector, shape (1, 2n)."""
+    return (Z if isinstance(Z, PhasePoint) else PhasePoint.of(Z)).Z[None, :]
 
 
 # ---------------------------------------------------------------------------
 # evaluators
+
+def _evaluate(state: GaussianState, function_kind: str, Zs,
+              convention: str) -> np.ndarray:
+    """Values of one phase-space function at the rows of Zs, shape (m, 2n).
+
+    The state's kernel and prefactor are resolved once for all rows.
+    """
+    # stacked (1, 2n) @ (2n, 2n) @ (2n, 1) products repeat the arithmetic of
+    # the 1-D product Z @ M @ Z bit for bit; einsum does not
+    Zr, Zc = Zs[:, None, :], Zs[:, :, None]
+    if function_kind == "husimi":
+        N, R = kernels.resolve_convention(kernels.ensure_form(state, "R"),
+                                          convention)
+        return N * np.exp(-0.5 * (Zr @ R @ Zc)[:, 0, 0])
+    if function_kind == "wigner":
+        sigma = kernels.ensure_form(state, "sigma")
+        det = matcore.determinant(sigma)
+        if abs(det) < 1e-300:
+            raise DomainError("singular covariance kernel")
+        expo = -(Zr.conj() @ matcore.dense_solve(sigma, Zc))[:, 0, 0]
+        return np.sqrt(det) ** -1 * np.exp(expo)
+    if function_kind == "charfn":
+        C = kernels.char_kernel(state)
+        return np.exp(-0.5 * (Zr.conj() @ C @ Zc)[:, 0, 0])
+    raise ValueError(f"unknown function kind {function_kind!r}")
+
 
 def husimi_q(state: GaussianState, Z, convention: str = AS_PUBLISHED) -> complex:
     """Husimi-Q value at a phase point.
@@ -127,37 +145,17 @@ def husimi_q(state: GaussianState, Z, convention: str = AS_PUBLISHED) -> complex
     as-published: sqrt(det R) exp(-1/2 Z^T R Z) with the literal kernel.
     calibrated: bridge-mapped kernel with the trace-normalizing prefactor.
     """
-    p = _as_point(Z)
-    R = kernels.ensure_form(state, "R")
-    if convention == AS_PUBLISHED:
-        N = kernels.prefactor(R, AS_PUBLISHED).value
-    elif convention == CALIBRATED:
-        R = kernels.apply_r_map(R, DEFAULT_BRIDGE.r_map)
-        N = kernels.prefactor(R, CALIBRATED).value
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-    Zv = p.Z
-    return complex(N * np.exp(-0.5 * Zv @ R @ Zv))
+    return complex(_evaluate(state, "husimi", _row(Z), convention)[0])
 
 
 def wigner(state: GaussianState, Z) -> complex:
     """W(Z) = det(sigma)^{-1/2} exp(-Z^dag sigma^-1 Z), literal form."""
-    p = _as_point(Z)
-    sigma = kernels.ensure_form(state, "sigma")
-    det = matcore.determinant(sigma)
-    if abs(det) < 1e-300:
-        raise DomainError("singular covariance kernel")
-    Zv = p.Z
-    expo = -(Zv.conj() @ matcore.dense_solve(sigma, Zv))
-    return complex(np.sqrt(det) ** -1 * np.exp(expo))
+    return complex(_evaluate(state, "wigner", _row(Z), AS_PUBLISHED)[0])
 
 
 def char_fn(state: GaussianState, Z) -> complex:
     """C(Z) = exp(-1/2 Z^dag C Z)."""
-    p = _as_point(Z)
-    C = kernels.char_kernel(state)
-    Zv = p.Z
-    return complex(np.exp(-0.5 * Zv.conj() @ C @ Zv))
+    return complex(_evaluate(state, "charfn", _row(Z), AS_PUBLISHED)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -199,28 +197,17 @@ def gauss_integral(V, X, convention: str = CALIBRATED) -> complex:
 # ---------------------------------------------------------------------------
 # grids and normalization
 
-_EVALUATORS = {
-    "husimi": lambda state, p, conv: husimi_q(state, p, conv),
-    "wigner": lambda state, p, conv: wigner(state, p),
-    "charfn": lambda state, p, conv: char_fn(state, p),
-}
-
-
 def grid_eval(state: GaussianState, function_kind: str, grid: PhaseGrid,
               convention: str = AS_PUBLISHED) -> PhaseTable:
-    """Pointwise evaluation over a grid, deterministic row-major over (re, im)."""
-    if function_kind not in _EVALUATORS:
-        raise ValueError(f"unknown function kind {function_kind!r}")
-    table = PhaseTable(function_kind=function_kind, convention=convention)
-    fn = _EVALUATORS[function_kind]
-    for p in grid.points():
-        try:
-            v = fn(state, p, convention)
-        except Exception as exc:
-            raise type(exc)(f"evaluation failed at z = {p.z}: {exc}") from exc
-        table.points.append(p)
-        table.values.append(v)
-    return table
+    """Evaluation over a grid, deterministic row-major over (re, im).
+
+    The state's kernel is resolved once for the whole grid.
+    """
+    points = grid.points()
+    values = _evaluate(state, function_kind, np.stack([p.Z for p in points]),
+                       convention)
+    return PhaseTable(function_kind=function_kind, convention=convention,
+                      points=points, values=values.tolist())
 
 
 @dataclass(frozen=True)
@@ -238,12 +225,8 @@ def q_norm_check(state: GaussianState, convention: str = CALIBRATED,
     """
     if state.n_modes != 1:
         raise ValueError("normalization quadrature is single-mode only")
-    R = kernels.ensure_form(state, "R")
-    if convention == CALIBRATED:
-        R = kernels.apply_r_map(R, DEFAULT_BRIDGE.r_map)
-        N = kernels.prefactor(R, CALIBRATED).value
-    else:
-        N = kernels.prefactor(R, AS_PUBLISHED).value
+    N, R = kernels.resolve_convention(kernels.ensure_form(state, "R"),
+                                      convention)
     radius = quadrature_spec.radius
     if radius is None:
         sigma = kernels.ensure_form(state, "sigma")

@@ -140,6 +140,13 @@ def test_spectrum_output(thermal_file, capsys):
     assert "nu=" in out
 
 
+def test_header_echoes_the_given_argv(thermal_file, monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["host", "extra-arg-of-host"])
+    assert cli.main(["spectrum", thermal_file]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"command: spectrum {thermal_file}"
+
+
 def test_evolve_closed_frozen_value(thermal_file, tmp_path, capsys):
     r_file = tmp_path / "r.json"
     cli.main(["convert", thermal_file, "--to", "R", "-o", str(r_file)])

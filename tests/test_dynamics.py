@@ -123,6 +123,16 @@ def test_ordering_audit_discriminates():
     assert rep.residuals["a"] > 1e-2
 
 
+def test_ordering_audit_accepts_variant_b_on_a_grown_kernel():
+    # the kernel grows to max|rhs| ~ 1.9e3 by t = 1, so the finite-difference
+    # residual of the correct variant exceeds 1e-6 in absolute terms
+    H = np.array([[4.0, 0.5], [0.5, 3.0]])
+    rep = dynamics.ordering_audit(thermal_r(), H, 1.0)
+    assert rep.consistent_variants == ["b"]
+    assert rep.residuals["b"] > 1e-6          # reported residuals stay absolute
+    assert rep.residuals["a"] > 0.3 * 1.9e3   # relative residual ~0.35
+
+
 def test_ordering_audit_vacuous_for_stationary_kernel():
     rep = dynamics.ordering_audit(thermal_r(), structured("E", 1), 1.0)
     assert rep.vacuous

@@ -84,6 +84,22 @@ def test_dense_solve_refuses_singular():
         matcore.dense_solve(M, np.eye(3))
 
 
+def test_dense_solve_stack_matches_per_system_solves():
+    rng = np.random.default_rng(23)
+    M = rng.standard_normal((4, 4)) + 4 * np.eye(4) + 1j * rng.standard_normal((4, 4))
+    B = rng.standard_normal((7, 4, 1)) + 1j * rng.standard_normal((7, 4, 1))
+    X = matcore.dense_solve(M, B)
+    assert X.shape == B.shape
+    for k in range(len(B)):
+        np.testing.assert_array_equal(X[k, :, 0], matcore.dense_solve(M, B[k, :, 0]))
+
+
+def test_dense_solve_stack_refuses_ill_conditioned():
+    M = np.diag([1.0, 1.0 / (10 * matcore.COND_LIMIT)])
+    with pytest.raises(NumericalError):
+        matcore.dense_solve(M, np.ones((3, 2, 1)))
+
+
 def test_non_finite_input_rejected():
     M = np.array([[1.0, np.inf], [0.0, 1.0]])
     with pytest.raises(NumericalError):

@@ -1,9 +1,11 @@
 """Phase-space evaluators, Gaussian integral, grids and normalization."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from gnp import kernels, phasespace
+from gnp import kernels, matcore, phasespace
 from gnp.errors import DomainError
 from gnp.phasespace import PhaseGrid, PhasePoint, PhaseTable
 
@@ -54,8 +56,78 @@ def test_wigner_thermal_center_value():
     assert abs(phasespace.wigner(st, 0.0) - 1.0 / 3.0) < 1e-12
 
 
+def test_unknown_convention_is_rejected():
+    st = thermal()
+    with pytest.raises(ValueError):
+        phasespace.husimi_q(st, 0.0, "bogus")
+    with pytest.raises(ValueError):
+        phasespace.q_norm_check(st, "bogus")
+    with pytest.raises(ValueError):
+        kernels.prefactor(kernels.ensure_form(st, "R"), "bogus")
+
+
 # ---------------------------------------------------------------------------
 # grids and tables
+
+_GRID_CASES = [("husimi", kernels.AS_PUBLISHED), ("husimi", kernels.CALIBRATED),
+               ("wigner", kernels.AS_PUBLISHED), ("charfn", kernels.AS_PUBLISHED)]
+
+
+def _single_point(state, kind, conv, z):
+    if kind == "husimi":
+        return phasespace.husimi_q(state, z, conv)
+    if kind == "wigner":
+        return phasespace.wigner(state, z)
+    return phasespace.char_fn(state, z)
+
+
+def _per_point_reference(state, kind, conv, Zv):
+    """The per-point formulas, written with 1-D products."""
+    if kind == "husimi":
+        N, R = kernels.resolve_convention(kernels.ensure_form(state, "R"), conv)
+        return complex(N * np.exp(-0.5 * Zv @ R @ Zv))
+    if kind == "wigner":
+        sigma = kernels.ensure_form(state, "sigma")
+        expo = -(Zv.conj() @ matcore.dense_solve(sigma, Zv))
+        return complex(np.sqrt(matcore.determinant(sigma)) ** -1 * np.exp(expo))
+    return complex(np.exp(-0.5 * Zv.conj() @ kernels.char_kernel(state) @ Zv))
+
+
+@pytest.mark.parametrize("form", kernels.FORMS)
+def test_grid_eval_equals_single_point_evaluators(form):
+    sq = kernels.make_squeezed_thermal([0.9], [0.3])
+    st = kernels.GaussianState(1, {form: kernels.ensure_form(sq, form)})
+    grid = PhaseGrid(re_range=(-2, 2, 9), im_range=(-1.5, 1.5, 7))
+    for kind, conv in _GRID_CASES:
+        table = phasespace.grid_eval(st, kind, grid, conv)
+        singles = [_single_point(st, kind, conv, p.z[0]) for p in table.points]
+        reference = [_per_point_reference(st, kind, conv, p.Z) for p in table.points]
+        assert table.values == singles == reference      # bit for bit
+
+
+def test_grid_eval_resolves_the_kernel_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(kernels, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(kernels, name, wrapper)
+
+    counted("ensure_form")
+    counted("char_kernel")
+    st = kernels.GaussianState(1, {"C": kernels.char_kernel(thermal())})
+    grid = PhaseGrid(re_range=(-1, 1, 5), im_range=(-1, 1, 5))
+    for kind, conv in _GRID_CASES:
+        calls.clear()
+        phasespace.grid_eval(st, kind, grid, conv)
+        if kind == "charfn":
+            assert calls == {"char_kernel": 1}
+        else:
+            assert calls == {"ensure_form": 1}
+
 
 def test_grid_row_major_order():
     grid = PhaseGrid(re_range=(-1, 1, 3), im_range=(-1, 1, 2))
