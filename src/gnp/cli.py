@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import __version__, bridge, dynamics, kernels, phasespace, stateio
-from .errors import DomainError, GnpError, NumericalError, TruncationError
+from .errors import DomainError, GnpError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -243,21 +243,14 @@ def main(argv=None) -> int:
     args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return args.handler(args)
-    except stateio.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (DomainError, NumericalError, TruncationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except (stateio.ParseError, OSError) as exc:
+        code, message = EXIT_IO, exc
+    except ValueError as exc:
+        code, message = EXIT_VALIDATION, exc
     except GnpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code, message = EXIT_NUMERICAL, exc
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,11 +1,18 @@
 """Time evolution engines.
 
-Covariance flow       sigma-dot = (JH) sigma + sigma (JH)^T,  sigma(t) = S sigma S^T
-Normal-product flow   R-dot = i (R J H - H J R)
+Both flows are the linear flow X-dot = B X + X B^T, solved in closed form by
+X(t) = S X0 S^T with the symplectic S = exp(B t), det S = 1.  With H
+symmetric and J^T = -J, the three generators B are
 
-with both closed-form propagators and a fixed-step RK4 reference integrator,
-invariant monitoring (det conservation, symplecticity) and the audits that
-discriminate the ordering/convention ambiguities of the closed forms.
+  "covariance"  J H      sigma-dot = (JH) sigma + sigma (JH)^T
+  "b"           -i H J   R-dot = i (R J H - H J R), the normal-product flow
+  "a"           -i J H   the printed closed form; it solves the flow only
+                         when J H = H J
+
+The module holds the closed-form propagators, a fixed-step RK4 reference
+integrator, invariant monitoring (det conservation, symplecticity) and the
+audits that discriminate the ordering/convention ambiguities of the closed
+forms.
 """
 
 from __future__ import annotations
@@ -21,6 +28,13 @@ from .errors import DomainError, NumericalError
 from .matcore import structured
 
 VARIANTS = ("a", "b")
+
+# generator B of each flow from (J, H), with H complex
+_GENERATORS = {
+    "covariance": lambda J, H: J @ H,
+    "b": lambda J, H: -1j * H @ J,
+    "a": lambda J, H: -1j * J @ H,
+}
 
 
 @dataclass
@@ -45,12 +59,11 @@ class QuadraticHamiltonian:
 
 @dataclass(frozen=True)
 class Propagator:
-    """Closed-form evolution pair (left, right): X(t) = left @ X0 @ right."""
+    """Closed-form propagator S = exp(B t): X(t) = left @ X0 @ left.T."""
 
     variant: str
     t: float
     left: np.ndarray
-    right: np.ndarray
 
 
 @dataclass
@@ -63,91 +76,98 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides and closed forms
+# the linear flow: generator, right-hand side, propagator
+
+def _generator(flow: str, H) -> np.ndarray:
+    H = np.asarray(H, dtype=complex)
+    return _GENERATORS[flow](structured("J", H.shape[0] // 2), H)
+
+
+def _rhs(B, X) -> np.ndarray:
+    return B @ X + X @ B.T
+
+
+def _propagator(flow: str, H, t: float) -> Propagator:
+    return Propagator(variant=flow, t=t,
+                      left=matcore.mat_exp(_generator(flow, H) * t))
+
+
+def _apply(p: Propagator, X0) -> np.ndarray:
+    return p.left @ np.asarray(X0, dtype=complex) @ p.left.T
+
+
+def _flow_of(kind: str, variant: str = "b") -> str:
+    """Generator key of a trajectory kind; the normal flow takes `variant`."""
+    if kind not in ("covariance", "normal"):
+        raise ValueError(f"unknown flow kind {kind!r}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}, expected 'a' or 'b'")
+    return variant if kind == "normal" else kind
+
 
 def covariance_rhs(sigma, H) -> np.ndarray:
     """(JH) sigma + sigma (JH)^T."""
-    sigma = np.asarray(sigma, dtype=complex)
-    H = np.asarray(H, dtype=complex)
-    JH = structured("J", H.shape[0] // 2) @ H
-    return JH @ sigma + sigma @ JH.T
+    return _rhs(_generator("covariance", H), np.asarray(sigma, dtype=complex))
 
 
 def normal_rhs(R, H) -> np.ndarray:
-    """i (R J H - H J R)."""
-    R = np.asarray(R, dtype=complex)
-    H = np.asarray(H, dtype=complex)
-    J = structured("J", H.shape[0] // 2)
-    return 1j * (R @ J @ H - H @ J @ R)
+    """i (R J H - H J R), computed as B R + R B^T with B = -i H J."""
+    return _rhs(_generator("b", H), np.asarray(R, dtype=complex))
 
 
 def covariance_propagator(H, t: float) -> Propagator:
     """S(t) = exp(J H t); sigma evolves by S sigma S^T."""
-    H = np.asarray(H, dtype=complex)
-    S = matcore.mat_exp(structured("J", H.shape[0] // 2) @ H * t)
-    return Propagator(variant="covariance", t=t, left=S, right=S.T)
+    return _propagator("covariance", H, t)
 
 
 def covariance_propagate(sigma0, H, t: float) -> np.ndarray:
-    p = covariance_propagator(H, t)
-    return p.left @ np.asarray(sigma0, dtype=complex) @ p.right
+    return _apply(covariance_propagator(H, t), sigma0)
 
 
 def normal_propagator(H, t: float, variant: str) -> Propagator:
-    """Closed-form propagator pair for the normal-product flow.
+    """Closed-form propagator for the normal-product flow.
 
-    variant "a": left = exp(-i J H t), right = left^T, exactly as printed.
-    variant "b": left = exp(-i H J t), right = exp(+i J H t), the ordering
-    that solves the flow equation for symmetric H (since (HJ)^T = -JH).
+    variant "a": S = exp(-i J H t), exactly as printed.
+    variant "b": S = exp(-i H J t), the ordering that solves the flow
+    equation for symmetric H (S^T = exp(+i J H t), since (HJ)^T = -JH).
     """
-    H = np.asarray(H, dtype=complex)
-    J = structured("J", H.shape[0] // 2)
-    if variant == "a":
-        U = matcore.mat_exp(-1j * J @ H * t)
-        return Propagator(variant="a", t=t, left=U, right=U.T)
-    if variant == "b":
-        return Propagator(
-            variant="b",
-            t=t,
-            left=matcore.mat_exp(-1j * H @ J * t),
-            right=matcore.mat_exp(1j * J @ H * t),
-        )
-    raise ValueError(f"unknown variant {variant!r}, expected 'a' or 'b'")
+    return _propagator(_flow_of("normal", variant), H, t)
 
 
 def normal_propagate(R0, H, t: float, variant: str = "b") -> np.ndarray:
-    p = normal_propagator(H, t, variant)
-    return p.left @ np.asarray(R0, dtype=complex) @ p.right
+    return _apply(normal_propagator(H, t, variant), R0)
 
 
 # ---------------------------------------------------------------------------
-# reference integrator
-
-_RHS = {"covariance": covariance_rhs, "normal": normal_rhs}
-
+# trajectories
 
 def integrate_rk4(kind: str, X0, H, t_end: float, steps: int) -> Trajectory:
     """Classical fixed-step RK4 for either flow, logging invariants per step."""
-    if kind not in _RHS:
-        raise ValueError(f"unknown flow kind {kind!r}")
+    flow = _flow_of(kind)
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    rhs = _RHS[kind]
     H = np.asarray(H, dtype=complex)
+    B = _generator(flow, H)
     X = np.asarray(X0, dtype=complex).copy()
     h = float(t_end) / steps
     traj = Trajectory(kind=kind, H=H)
     det0 = matcore.determinant(X)
-    _log_point(traj, 0.0, X, det0)
+
+    def log(t):
+        # covariance: the symplectic residual of the exact propagator to t
+        S = matcore.mat_exp(B * t) if kind == "covariance" else None
+        _log_point(traj, t, X, det0, S)
+
+    log(0.0)
     for k in range(steps):
-        k1 = rhs(X, H)
-        k2 = rhs(X + 0.5 * h * k1, H)
-        k3 = rhs(X + 0.5 * h * k2, H)
-        k4 = rhs(X + h * k3, H)
+        k1 = _rhs(B, X)
+        k2 = _rhs(B, X + 0.5 * h * k1)
+        k3 = _rhs(B, X + 0.5 * h * k2)
+        k4 = _rhs(B, X + h * k3)
         X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(X)):
             raise NumericalError(f"non-finite kernel at step {k + 1}")
-        _log_point(traj, (k + 1) * h, X, det0)
+        log((k + 1) * h)
     return traj
 
 
@@ -155,27 +175,26 @@ def closed_form_trajectory(kind: str, X0, H, t_end: float, steps: int,
                            variant: str = "b") -> Trajectory:
     """Closed-form flow logged like integrate_rk4 at max(2, steps + 1) equally
     spaced times, or at t = 0 alone when t_end = 0; `variant`: normal flow."""
+    flow = _flow_of(kind, variant)
     times = np.linspace(0.0, t_end, max(2, steps + 1)) \
         if t_end > 0 else np.array([0.0])
     traj = Trajectory(kind=kind, H=H)
     for t in times:
-        if kind == "covariance":
-            X = covariance_propagate(X0, H, float(t))
-        else:
-            X = normal_propagate(X0, H, float(t), variant=variant)
+        p = _propagator(flow, H, float(t))
+        X = _apply(p, X0)
         if not traj.kernels:
             det0 = matcore.determinant(X)
-        _log_point(traj, float(t), X, det0)
+        _log_point(traj, float(t), X, det0,
+                   p.left if kind == "covariance" else None)
     return traj
 
 
-def _log_point(traj: Trajectory, t: float, X: np.ndarray, det0: complex):
+def _log_point(traj: Trajectory, t: float, X: np.ndarray, det0: complex, S):
+    """Log X at t and, given the covariance propagator S to t, its symplecticity."""
     det = matcore.determinant(X)
-    entry = {"det_kernel": det,
-             "det_drift": abs(det - det0) / max(abs(det0), 1e-300)}
-    if traj.kind == "covariance":
-        entry["symplectic_residual"] = matcore.symplectic_residual(
-            matcore.mat_exp(structured("J", X.shape[0] // 2) @ traj.H * t))
+    entry = {"det_drift": abs(det - det0) / max(abs(det0), 1e-300)}
+    if S is not None:
+        entry["symplectic_residual"] = matcore.symplectic_residual(S)
     traj.times.append(float(t))
     traj.kernels.append(X.copy())
     traj.invariants_log.append(entry)

@@ -266,19 +266,6 @@ def c_from_g(G) -> np.ndarray:
     return 0.5 * Om @ matcore.mat_analytic(Om @ G, _eq9_ratio)
 
 
-def char_kernel(state: GaussianState) -> np.ndarray:
-    """Characteristic kernel C from whichever form the state carries."""
-    if state.has("C"):
-        return state.forms["C"]
-    if state.has("sigma"):
-        return sigma_to_c(state.forms["sigma"])
-    if state.has("G"):
-        return c_from_g(state.forms["G"])
-    if state.has("R"):
-        return sigma_to_c(r_to_sigma(state.forms["R"]))
-    raise ValueError("state carries no kernel form")
-
-
 _CONVERTERS = {
     ("G", "sigma"): g_to_sigma,
     ("G", "R"): g_to_r,

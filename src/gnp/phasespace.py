@@ -134,7 +134,7 @@ def _evaluate(state: GaussianState, function_kind: str, Zs,
         expo = -(Zr.conj() @ matcore.dense_solve(sigma, Zc))[:, 0, 0]
         return np.sqrt(det) ** -1 * np.exp(expo)
     if function_kind == "charfn":
-        C = kernels.char_kernel(state)
+        C = kernels.ensure_form(state, "C")
         return np.exp(-0.5 * (Zr.conj() @ C @ Zc)[:, 0, 0])
     raise ValueError(f"unknown function kind {function_kind!r}")
 

@@ -123,8 +123,7 @@ def trajectory_to_csv(traj: Trajectory) -> str:
         for j in range(dim):
             cols += [f"k{i}{j}_re", f"k{i}{j}_im"]
     cols += ["det_re", "det_im"]
-    extra = sorted(k for k in traj.invariants_log[0] if k != "det_kernel") \
-        if traj.invariants_log else []
+    extra = sorted(traj.invariants_log[0]) if traj.invariants_log else []
     cols += extra
     buf = io.StringIO()
     buf.write(f"# kind={traj.kind}\n")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gnp import cli, dynamics, kernels, stateio
+from gnp.errors import DomainError, GnpError, NumericalError, TruncationError
 from gnp.stateio import ParseError
 
 LN2 = np.log(2.0)
@@ -103,6 +104,18 @@ def test_convert_vacuum_boundary_exits_2(tmp_path, capsys):
     stateio.write_state(path, st, "sigma")
     out = tmp_path / "g.json"
     assert cli.main(["convert", str(path), "--to", "G", "-o", str(out)]) == 2
+
+
+@pytest.mark.parametrize("error, code", [
+    (ParseError, 3), (OSError, 3), (ValueError, 1), (DomainError, 2),
+    (NumericalError, 2), (TruncationError, 2), (GnpError, 2),
+])
+def test_each_error_class_maps_to_its_exit_code(error, code, monkeypatch, capsys):
+    def handler(args):
+        raise error("boom")
+    monkeypatch.setattr(cli, "cmd_spectrum", handler)
+    assert cli.main(["spectrum", "unread.json"]) == code
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from gnp import dynamics, kernels, matcore
 from gnp.matcore import structured
@@ -61,6 +62,57 @@ def test_variants_coincide_at_t_zero():
     for v in ("a", "b"):
         np.testing.assert_allclose(
             dynamics.normal_propagate(R0, H, 0.0, v), R0, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# one linear flow X-dot = B X + X B^T for every generator
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_flow_propagator_is_symplectic_with_unit_det(n):
+    # S^T J S = J forces det S = +-1, and det S = exp(t tr B) = 1; so det X
+    # is conserved along all three flows
+    rng = np.random.default_rng(90 + n)
+    J = structured("J", n)
+    for _ in range(3):
+        H = random_symmetric(2 * n, rng, scale=0.5)
+        for t in (0.5, 1.0, 2.0):
+            props = {v: dynamics.normal_propagator(H, t, v) for v in ("a", "b")}
+            props["covariance"] = dynamics.covariance_propagator(H, t)
+            for flow, p in props.items():
+                S = p.left
+                assert np.abs(S.T @ J @ S - J).max() < 1e-10, (flow, t)
+                assert abs(np.linalg.det(S) - 1) < 1e-12, (flow, t)
+
+
+def test_variant_b_equals_the_two_exponential_form():
+    rng = np.random.default_rng(93)
+    for n in (1, 2, 3):
+        J = structured("J", n)
+        R0 = kernels.g_to_r(random_valid_g(n, rng))
+        H = random_symmetric(2 * n, rng, scale=0.5)
+        for t in (0.5, 1.0, 2.0):
+            expected = expm(-1j * H @ J * t) @ R0 @ expm(1j * J @ H * t)
+            R = dynamics.normal_propagate(R0, H, t, "b")
+            assert np.abs(R - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("kind", ["normal", "covariance"])
+def test_rk4_builds_its_generator_once_per_run(kind, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return structured(*args)
+    monkeypatch.setattr(dynamics, "structured", counted)
+    st = kernels.make_squeezed_thermal([0.9], [0.3])
+    X0 = kernels.ensure_form(st, "R" if kind == "normal" else "sigma")
+    H = np.array([[0.5, 1.0], [1.0, 0.5]])
+    counts = []
+    for steps in (10, 100):
+        calls.clear()
+        dynamics.integrate_rk4(kind, X0, H, 1.0, steps)
+        counts.append(len(calls))
+    assert counts == [1, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Phase-space evaluators, Gaussian integral, grids and normalization."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -90,7 +88,8 @@ def _per_point_reference(state, kind, conv, Zv):
         sigma = kernels.ensure_form(state, "sigma")
         expo = -(Zv.conj() @ matcore.dense_solve(sigma, Zv))
         return complex(np.sqrt(matcore.determinant(sigma)) ** -1 * np.exp(expo))
-    return complex(np.exp(-0.5 * Zv.conj() @ kernels.char_kernel(state) @ Zv))
+    C = kernels.ensure_form(state, "C")
+    return complex(np.exp(-0.5 * Zv.conj() @ C @ Zv))
 
 
 @pytest.mark.parametrize("form", kernels.FORMS)
@@ -106,27 +105,20 @@ def test_grid_eval_equals_single_point_evaluators(form):
 
 
 def test_grid_eval_resolves_the_kernel_once(monkeypatch):
-    calls = Counter()
+    calls = []
+    ensure_form = kernels.ensure_form
 
-    def counted(name):
-        fn = getattr(kernels, name)
+    def counted(state, form):
+        calls.append(form)
+        return ensure_form(state, form)
+    monkeypatch.setattr(kernels, "ensure_form", counted)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(kernels, name, wrapper)
-
-    counted("ensure_form")
-    counted("char_kernel")
-    st = kernels.GaussianState(1, {"C": kernels.char_kernel(thermal())})
+    st = kernels.GaussianState(1, {"C": ensure_form(thermal(), "C")})
     grid = PhaseGrid(re_range=(-1, 1, 5), im_range=(-1, 1, 5))
     for kind, conv in _GRID_CASES:
         calls.clear()
         phasespace.grid_eval(st, kind, grid, conv)
-        if kind == "charfn":
-            assert calls == {"char_kernel": 1}
-        else:
-            assert calls == {"ensure_form": 1}
+        assert len(calls) == 1
 
 
 def test_grid_row_major_order():
