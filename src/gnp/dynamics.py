@@ -28,6 +28,9 @@ from .errors import DomainError, NumericalError
 from .matcore import structured
 
 VARIANTS = ("a", "b")
+AUDIT_SAMPLES = 5          # interior times sampled by ordering_audit
+AUDIT_TOL = 1e-6           # ordering_audit's residual bound, relative to max|rhs|
+CONVENTION_SAMPLES = 9     # times sampled by convention_audit
 
 # generator B of each flow from (J, H), with H complex
 _GENERATORS = {
@@ -247,18 +250,17 @@ def invariants_report(traj: Trajectory) -> InvariantsReport:
 @dataclass
 class OrderingAuditReport:
     residuals: dict            # variant -> max flow-equation residual
-    consistent_variants: list  # variants within tol of the rhs scale
+    consistent_variants: list  # variants within AUDIT_TOL of the rhs scale
     vacuous: bool
     note: str = ""
 
 
-def ordering_audit(R0, H, t_end: float, samples: int = 5,
-                   tol: float = 1e-6) -> OrderingAuditReport:
+def ordering_audit(R0, H, t_end: float) -> OrderingAuditReport:
     """Check which closed-form variant actually solves the flow equation.
 
     For each variant the residual || dR/dt - i(R J H - H J R) || is sampled
-    at `samples` interior times via centered differences.  It must be within
-    tol * max(1, max |rhs|), as the difference error grows with the kernel.
+    at AUDIT_SAMPLES interior times via centered differences.  It must be
+    within AUDIT_TOL * max(1, max |rhs|): the difference error grows with it.
     The audit is flagged vacuous when it cannot discriminate (commuting
     J H = H J, or a stationary kernel).
     """
@@ -266,7 +268,7 @@ def ordering_audit(R0, H, t_end: float, samples: int = 5,
     H = np.asarray(H, dtype=complex)
     J = structured("J", H.shape[0] // 2)
     h = 1e-5 * max(1.0, abs(t_end))
-    ts = np.linspace(t_end / samples, t_end, samples)
+    ts = np.linspace(t_end / AUDIT_SAMPLES, t_end, AUDIT_SAMPLES)
     residuals = {}
     consistent = []
     for variant in VARIANTS:
@@ -279,7 +281,7 @@ def ordering_audit(R0, H, t_end: float, samples: int = 5,
             worst = max(worst, float(np.abs(dR - rhs).max()))
             scale = max(scale, float(np.abs(rhs).max()))
         residuals[variant] = worst
-        if worst <= tol * max(1.0, scale):
+        if worst <= AUDIT_TOL * max(1.0, scale):
             consistent.append(variant)
     commuting = np.abs(J @ H - H @ J).max() <= 1e-12
     stationary = np.abs(normal_rhs(R0, H)).max() <= 1e-12
@@ -305,20 +307,20 @@ class ConventionAuditReport:
     note: str = ""
 
 
-def convention_audit(state: kernels.GaussianState, H, t_end: float,
-                     samples: int = 9) -> ConventionAuditReport:
+def convention_audit(state: kernels.GaussianState, H,
+                     t_end: float) -> ConventionAuditReport:
     """Descriptive cross-check of the covariance flow against the normal flow.
 
     Evolves sigma(t) by the symplectic closed form and R(t) by each variant,
     and reports the max deviation || R_variant(t) - sigma_to_r(sigma(t)) ||
-    over sampled times.  Purely descriptive: the two flows are stated by the
-    source formalism in possibly different bases, and this audit records the
-    discrepancy without resolving it.
+    over CONVENTION_SAMPLES times.  Purely descriptive: the two flows are
+    stated by the source formalism in possibly different bases, and this
+    audit records the discrepancy without resolving it.
     """
     H = np.asarray(H, dtype=complex)
     sigma0 = kernels.ensure_form(state, "sigma")
     R0 = kernels.ensure_form(state, "R")
-    ts = np.linspace(0.0, t_end, samples)
+    ts = np.linspace(0.0, t_end, CONVENTION_SAMPLES)
     residuals = {v: 0.0 for v in VARIANTS}
     for t in ts:
         sigma_t = covariance_propagate(sigma0, H, t)

@@ -16,11 +16,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .kernels import squeeze_symplectic
 from .matcore import structured
 
 TAIL_WARN = 1e-8
 TAIL_ERROR = 1e-4
+PAD = 8                # extra levels under the exponent of gaussian_density
+HESSIAN_STEP = 1e-3    # finite-difference step of r_from_q_hessian
+DERIVATIVE_STEP = 1e-3  # stencil step of derivative_identity_check
 
 
 @dataclass
@@ -47,13 +49,22 @@ class FockOperator:
 
     def tail_mass(self) -> float:
         """Total population of basis states with any mode at the top level."""
-        pops = np.abs(np.diag(self.matrix))
-        idx = np.arange(self.cutoff ** self.n_modes)
-        mask = np.zeros_like(idx, dtype=bool)
-        for _ in range(self.n_modes):
-            mask |= (idx % self.cutoff) == self.cutoff - 1
-            idx = idx // self.cutoff
-        return float(pops[mask].sum())
+        pops = np.abs(np.diag(self.matrix)).reshape((self.cutoff,) * self.n_modes)
+        top = (np.indices(pops.shape) == self.cutoff - 1).any(axis=0)
+        return float(pops[top].sum())
+
+
+def _ladder(cutoff: int) -> np.ndarray:
+    """Single-mode annihilator: sqrt(k) on the superdiagonal."""
+    return np.diag(np.sqrt(np.arange(1, cutoff)), 1)
+
+
+def _kron(factors) -> np.ndarray:
+    """Kronecker product of one cutoff x cutoff factor per mode, mode 1 first."""
+    out = np.eye(1)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
 
 
 def annihilator(n_modes: int, mode: int, cutoff: int) -> FockOperator:
@@ -62,30 +73,29 @@ def annihilator(n_modes: int, mode: int, cutoff: int) -> FockOperator:
         raise ValueError("cutoff must be >= 2")
     if not 1 <= mode <= n_modes:
         raise ValueError(f"mode must be in 1..{n_modes}")
-    a = np.diag(np.sqrt(np.arange(1, cutoff)), 1)
-    out = np.eye(1)
-    for k in range(1, n_modes + 1):
-        out = np.kron(out, a if k == mode else np.eye(cutoff))
-    return FockOperator(n_modes=n_modes, cutoff=cutoff, matrix=out)
-
-
-def ladder_vector(n_modes: int, cutoff: int):
-    """The operator vector A = (a_1..a_n, a_1^+..a_n^+) as dense matrices."""
-    ann = [annihilator(n_modes, m, cutoff).matrix for m in range(1, n_modes + 1)]
-    return ann + [a.conj().T for a in ann]
+    factors = [np.eye(cutoff)] * n_modes
+    factors[mode - 1] = _ladder(cutoff)
+    return FockOperator(n_modes=n_modes, cutoff=cutoff, matrix=_kron(factors))
 
 
 def quad_operator(M, cutoff: int) -> FockOperator:
-    """(1/2) sum_ij M_ij A_i A_j built from the ladder vector."""
+    """(1/2) sum_ij M_ij A_i A_j, one Kronecker term per nonzero M_ij.
+
+    A_i is a (i < n) or a^+ (i >= n) on mode i % n; on a shared mode the two
+    single-mode factors are multiplied first.
+    """
     M = np.asarray(M, dtype=complex)
     n = M.shape[0] // 2
-    A = ladder_vector(n, cutoff)
-    dim = cutoff ** n
-    out = np.zeros((dim, dim), dtype=complex)
-    for i in range(2 * n):
-        for j in range(2 * n):
-            if M[i, j] != 0:
-                out += 0.5 * M[i, j] * (A[i] @ A[j])
+    a = _ladder(cutoff)
+    ladder = (a, a.T)
+    out = np.zeros((cutoff ** n,) * 2, dtype=complex)
+    for i, j in zip(*np.nonzero(M)):
+        factors = [np.eye(cutoff)] * n
+        if i % n == j % n:
+            factors[i % n] = ladder[i // n] @ ladder[j // n]
+        else:
+            factors[i % n], factors[j % n] = ladder[i // n], ladder[j // n]
+        out += 0.5 * M[i, j] * _kron(factors)
     return FockOperator(n_modes=n, cutoff=cutoff, matrix=out)
 
 
@@ -95,7 +105,8 @@ class PhysicalSpec:
 
     The operator kernel puts omega*E on each mode's (a_i, a_i^+) pair, so a
     thermal spec exponentiates to e^{-sum omega_i (a_i^+ a_i + 1/2)};
-    squeezing conjugates that kernel by the mode-wise squeeze symplectic.
+    squeezing conjugates that kernel by the mode-wise squeeze symplectic S,
+    which is the identity for a thermal spec.
     This deliberately differs from the K-tilde = diag(omega, omega) normal
     form of the as-published layer; the bridge between the two is what the
     calibration measures.
@@ -122,11 +133,11 @@ class PhysicalSpec:
             self.squeezes = np.atleast_1d(np.asarray(self.squeezes, dtype=float))
             if len(self.squeezes) != n:
                 raise ValueError("need one squeeze parameter per mode")
-            S = squeeze_symplectic(self.squeezes)
-            kernel = S.T @ kernel @ S
         else:
             raise ValueError(f"unknown spec kind {self.kind!r}")
-        self.operator_kernel = kernel
+        c, s = np.diag(np.cosh(self.squeezes)), np.diag(np.sinh(self.squeezes))
+        S = np.block([[c, s], [s, c]])
+        self.operator_kernel = S.T @ kernel @ S
 
 
 def _check_tail(rho: FockOperator, context: str):
@@ -137,36 +148,33 @@ def _check_tail(rho: FockOperator, context: str):
         warnings.warn(f"{context}: tail mass {tail:.3e} exceeds {TAIL_WARN:.0e}")
 
 
-def _project_to_cutoff(rho_big, n_modes: int, big: int, cutoff: int):
-    """Keep the cutoff^n top-left tensor block of a density on a larger space."""
-    idx = np.arange(big ** n_modes)
-    keep = np.ones_like(idx, dtype=bool)
-    for _ in range(n_modes):
-        keep &= (idx % big) < cutoff
-        idx = idx // big
-    return rho_big[np.ix_(keep, keep)]
+def _hermitian_function(op: FockOperator, f, error: str) -> np.ndarray:
+    """V f(w) V^+ for the eigen-decomposition V diag(w) V^+ of a Hermitian op."""
+    if not op.is_hermitian:
+        raise DomainError(error)
+    w, V = np.linalg.eigh(op.matrix)
+    return (V * f(w)) @ V.conj().T
 
 
-def gaussian_density(spec: PhysicalSpec, cutoff: int,
-                     pad: int = 8) -> FockOperator:
+def gaussian_density(spec: PhysicalSpec, cutoff: int) -> FockOperator:
     """rho = e^{-G-hat} / Tr e^{-G-hat} with G-hat = (1/2) A^T kernel A.
 
-    The exponent is assembled on a space padded by `pad` extra levels and the
+    The exponent is assembled on a space padded by PAD extra levels and the
     result projected back, so the top retained level carries its physical
     population rather than the artifact of cutting the quadratic generator
     (which zeroes a a^+ on the last level and under-penalizes it).
     """
     n = spec.operator_kernel.shape[0] // 2
-    big = cutoff + pad
-    Ghat = quad_operator(spec.operator_kernel, big)
-    if not Ghat.is_hermitian:
-        raise DomainError("physical kernel produced a non-Hermitian exponent")
-    w, V = np.linalg.eigh(Ghat.matrix)
-    ew = np.exp(-(w - w.min()))          # shift for overflow safety
-    rho = (V * ew) @ V.conj().T
+    big = cutoff + PAD
+    rho = _hermitian_function(
+        quad_operator(spec.operator_kernel, big),
+        lambda w: np.exp(-(w - w.min())),    # shift for overflow safety
+        "physical kernel produced a non-Hermitian exponent")
     rho /= np.trace(rho).real
-    rho = _project_to_cutoff(rho, n, big, cutoff)
-    rho /= np.trace(rho).real
+    # keep the top-left cutoff^n tensor block
+    rho = rho.reshape((big,) * (2 * n))[(slice(cutoff),) * (2 * n)]
+    rho = rho.reshape(cutoff ** n, cutoff ** n)
+    rho = rho / np.trace(rho).real
     op = FockOperator(n_modes=n, cutoff=cutoff, matrix=rho)
     _check_tail(op, "gaussian_density")
     return op
@@ -202,7 +210,7 @@ def q_of_rho(rho: FockOperator, z) -> float:
     return float(val.real)
 
 
-def r_from_q_hessian(rho: FockOperator, step: float = 1e-3) -> np.ndarray:
+def r_from_q_hessian(rho: FockOperator) -> np.ndarray:
     """Physical normal-product kernel from the log-Hessian of Q at the origin.
 
     Builds the real Hessian of -ln Q in (x_1..x_n, y_1..y_n) by centered
@@ -210,7 +218,7 @@ def r_from_q_hessian(rho: FockOperator, step: float = 1e-3) -> np.ndarray:
     when the log-Hessian is not step-stable (non-Gaussian Q).
     """
     n = rho.n_modes
-    h = step
+    h = HESSIAN_STEP
 
     def f(u):
         zs = u[:n] + 1j * u[n:]
@@ -247,12 +255,9 @@ def r_from_q_hessian(rho: FockOperator, step: float = 1e-3) -> np.ndarray:
 
 def liouville_step(rho0: FockOperator, H_kernel, t: float) -> FockOperator:
     """rho(t) = e^{-i H t} rho0 e^{+i H t} for H-hat = (1/2) A^T H A."""
-    Hop = quad_operator(H_kernel, rho0.cutoff)
-    if not Hop.is_hermitian:
-        raise DomainError("Hamiltonian kernel is not Hermitian in truncation")
-    w, V = np.linalg.eigh(Hop.matrix)
-    phases = np.exp(-1j * w * t)
-    U = (V * phases) @ V.conj().T
+    U = _hermitian_function(quad_operator(H_kernel, rho0.cutoff),
+                            lambda w: np.exp(-1j * w * t),
+                            "Hamiltonian kernel is not Hermitian in truncation")
     rho = U @ rho0.matrix @ U.conj().T
     out = FockOperator(n_modes=rho0.n_modes, cutoff=rho0.cutoff, matrix=rho)
     if abs(out.trace() - rho0.trace()) > 1e-10:
@@ -269,8 +274,7 @@ class DerivativeIdentityReport:
     note: str = ""
 
 
-def derivative_identity_check(rho: FockOperator, z,
-                              step: float = 1e-3) -> DerivativeIdentityReport:
+def derivative_identity_check(rho: FockOperator, z) -> DerivativeIdentityReport:
     """Numerically verify the coherent-state derivative identities (n = 1).
 
     The right-hand sides differentiate rho(Z) = <Z|rho|Z> treating z and z*
@@ -280,9 +284,9 @@ def derivative_identity_check(rho: FockOperator, z,
     if rho.n_modes != 1:
         raise ValueError("derivative identity check is single-mode only")
     z = complex(np.atleast_1d(np.asarray(z, dtype=complex))[0])
-    h = step
-    a = annihilator(1, 1, rho.cutoff).matrix
-    ad = a.conj().T
+    h = DERIVATIVE_STEP
+    a = _ladder(rho.cutoff)
+    ad = a.T
 
     try:
         coherent_vector(z + 2 * h * (1 + 1j), rho.cutoff)
@@ -305,7 +309,7 @@ def derivative_identity_check(rho: FockOperator, z,
     grad = np.array([dz, dzs])
 
     v = coherent_vector(z, rho.cutoff)
-    rho_z = complex(v.conj() @ rho.matrix @ v)
+    rho_z = rho_of(z)
     Z = np.array([z, np.conj(z)])
     E = structured("E", 1)
     J = structured("J", 1)

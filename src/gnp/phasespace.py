@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .kernels import AS_PUBLISHED, CALIBRATED, GaussianState
 from .matcore import structured
 
 MEASURE_NOTE = "d^2z/pi per mode"
+QUAD_POINTS = 201      # points per axis of the q_norm_check quadrature
 
 
 @dataclass(frozen=True)
@@ -210,36 +211,25 @@ def grid_eval(state: GaussianState, function_kind: str, grid: PhaseGrid,
                       points=points, values=values.tolist())
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    radius: Optional[float] = None   # default: max(4, 4 max|sigma|^(1/2))
-    points: int = 201
-
-
-def q_norm_check(state: GaussianState, convention: str = CALIBRATED,
-                 quadrature_spec: QuadratureSpec = QuadratureSpec()) -> float:
+def q_norm_check(state: GaussianState, convention: str = CALIBRATED) -> float:
     """Integral of the Husimi-Q function over d^2z/pi (single mode).
 
-    Raises DomainError for a non-decaying integrand; the error message
-    carries the finite-box integral estimate for the record.
+    A QUAD_POINTS x QUAD_POINTS rectangle rule over the box |Re z|, |Im z| <=
+    max(4, 4 max|sigma|^(1/2)).  Raises DomainError for a non-decaying
+    integrand; the error message carries the finite-box integral estimate
+    for the record.
     """
     if state.n_modes != 1:
         raise ValueError("normalization quadrature is single-mode only")
-    N, R = kernels.resolve_convention(kernels.ensure_form(state, "R"),
-                                      convention)
-    radius = quadrature_spec.radius
-    if radius is None:
-        sigma = kernels.ensure_form(state, "sigma")
-        radius = max(4.0, 4.0 * float(np.sqrt(np.abs(sigma).max())))
-    xs = np.linspace(-radius, radius, quadrature_spec.points)
+    sigma = kernels.ensure_form(state, "sigma")
+    radius = max(4.0, 4.0 * float(np.sqrt(np.abs(sigma).max())))
+    xs = np.linspace(-radius, radius, QUAD_POINTS)
     dx = xs[1] - xs[0]
-    xg, yg = np.meshgrid(xs, xs, indexing="ij")
-    z = xg + 1j * yg
-    expo = -0.5 * (R[0, 0] * z * z + (R[0, 1] + R[1, 0]) * z * z.conj()
-                   + R[1, 1] * z.conj() * z.conj())
-    integral = complex(N * np.sum(np.exp(expo)) * dx * dx / np.pi)
-    form = kernels._husimi_real_form(R)
-    if np.linalg.eigvalsh(form).min() <= 0:
+    z = (xs[:, None] + 1j * xs).ravel()      # row-major over (re, im)
+    values = _evaluate(state, "husimi", np.stack([z, z.conj()], axis=1), convention)
+    integral = complex(np.sum(values) * dx * dx / np.pi)
+    _, R = kernels.resolve_convention(kernels.ensure_form(state, "R"), convention)
+    if np.linalg.eigvalsh(kernels._husimi_real_form(R)).min() <= 0:
         raise DomainError(
             "Husimi integrand does not decay (divergent normalization); "
             f"finite-box estimate over radius {radius:g}: |integral| = "

@@ -1,5 +1,9 @@
 """Truncated Fock-space oracle: operators, densities, Q values, identities."""
 
+import ast
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,30 @@ from gnp.errors import TruncationError
 from gnp.matcore import structured
 
 LN2 = np.log(2.0)
+
+
+def dense_ladder_vector(n_modes, cutoff):
+    """A = (a_1..a_n, a_1^+..a_n^+) as full-space kron matrices."""
+    a = np.diag(np.sqrt(np.arange(1, cutoff)), 1)
+    ann = []
+    for mode in range(n_modes):
+        out = np.eye(1)
+        for k in range(n_modes):
+            out = np.kron(out, a if k == mode else np.eye(cutoff))
+        ann.append(out.astype(complex))
+    return ann + [x.conj().T for x in ann]
+
+
+def dense_quad_operator(M, cutoff):
+    """(1/2) sum_ij M_ij A_i A_j as full-space dense products."""
+    n = len(M) // 2
+    A = dense_ladder_vector(n, cutoff)
+    out = np.zeros((cutoff ** n, cutoff ** n), dtype=complex)
+    for i in range(2 * n):
+        for j in range(2 * n):
+            if M[i, j] != 0:
+                out += 0.5 * M[i, j] * (A[i] @ A[j])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +71,58 @@ def test_quad_operator_zero_and_squeeze_forms():
                                atol=1e-13)
 
 
+@pytest.mark.parametrize("n_modes,cutoff", [(1, 9), (2, 5), (3, 3)])
+def test_kron_terms_equal_dense_products(n_modes, cutoff):
+    rng = np.random.default_rng(n_modes)
+    A = dense_ladder_vector(n_modes, cutoff)
+    for mode in range(1, n_modes + 1):
+        assert np.array_equal(fo.annihilator(n_modes, mode, cutoff).matrix, A[mode - 1])
+    for _ in range(3):
+        d = 2 * n_modes
+        M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        M[rng.uniform(size=(d, d)) < 0.3] = 0.0
+        assert np.array_equal(fo.quad_operator(M, cutoff).matrix,
+                              dense_quad_operator(M, cutoff))
+
+
+def test_oracle_imports_nothing_from_kernels():
+    tree = ast.parse(Path(fo.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "gnp" + (f".{base}" if base else "")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    assert not any(name == "gnp.kernels" or name.startswith("gnp.kernels.")
+                   for name in names), sorted(names)
+
+
 # ---------------------------------------------------------------------------
 # densities
+
+def test_thermal_spec_is_the_unsqueezed_conjugation():
+    for omegas in ([0.7], [0.7, 1.9], [0.7, 1.9, 2.4]):
+        thermal = fo.PhysicalSpec("thermal", omegas)
+        zero = fo.PhysicalSpec("squeezed-thermal", omegas, np.zeros(len(omegas)))
+        assert np.array_equal(thermal.operator_kernel, zero.operator_kernel)
+
+
+def test_two_mode_density_is_the_masked_block_of_the_padded_density():
+    spec = fo.PhysicalSpec("squeezed-thermal", [1.7, 2.1], [0.2, 0.1])
+    cutoff = 12
+    big = cutoff + fo.PAD
+    w, V = np.linalg.eigh(dense_quad_operator(spec.operator_kernel, big))
+    rho_big = (V * np.exp(-(w - w.min()))) @ V.conj().T
+    rho_big /= np.trace(rho_big).real
+    idx = np.arange(big ** 2)
+    keep = (idx // big < cutoff) & (idx % big < cutoff)
+    expected = rho_big[np.ix_(keep, keep)]
+    expected /= np.trace(expected).real
+    assert np.array_equal(fo.gaussian_density(spec, cutoff).matrix, expected)
 
 def test_thermal_density_bose_einstein_diagonal():
     D = 30
@@ -75,6 +153,51 @@ def test_squeezed_thermal_density_valid():
     assert abs(rho.trace().real - 1.0) < 1e-12
     w = np.linalg.eigvalsh(rho.matrix)
     assert w.min() > -1e-12
+
+
+# ---------------------------------------------------------------------------
+# the tail-mass guard
+
+def diagonal_density(n_modes, tail):
+    """Diagonal density at cutoff 3 with population `tail` on top levels."""
+    cutoff = 3
+    pops = np.zeros((cutoff,) * n_modes)
+    if n_modes == 1:
+        pops[2] = tail
+    else:
+        pops[0, 2] = pops[2, 1] = tail / 2
+    pops.flat[0] = 1.0 - tail
+    return fo.FockOperator(n_modes, cutoff, np.diag(pops.ravel()))
+
+
+@pytest.mark.parametrize("n_modes", [1, 2])
+def test_tail_mass_reads_the_top_levels(n_modes):
+    assert diagonal_density(n_modes, 1e-3).tail_mass() == 1e-3
+
+
+@pytest.mark.parametrize("n_modes", [1, 2])
+def test_check_tail_silent_just_inside_warn(n_modes):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fo._check_tail(diagonal_density(n_modes, fo.TAIL_WARN * (1 - 1e-6)), "ctx")
+
+
+@pytest.mark.parametrize("n_modes", [1, 2])
+def test_check_tail_warns_just_outside_warn(n_modes):
+    with pytest.warns(UserWarning, match="ctx: tail mass"):
+        fo._check_tail(diagonal_density(n_modes, fo.TAIL_WARN * (1 + 1e-6)), "ctx")
+
+
+@pytest.mark.parametrize("n_modes", [1, 2])
+def test_check_tail_warns_just_inside_error(n_modes):
+    with pytest.warns(UserWarning, match="ctx: tail mass"):
+        fo._check_tail(diagonal_density(n_modes, fo.TAIL_ERROR * (1 - 1e-6)), "ctx")
+
+
+@pytest.mark.parametrize("n_modes", [1, 2])
+def test_check_tail_raises_just_outside_error(n_modes):
+    with pytest.raises(TruncationError, match="ctx: tail mass"):
+        fo._check_tail(diagonal_density(n_modes, fo.TAIL_ERROR * (1 + 1e-6)), "ctx")
 
 
 # ---------------------------------------------------------------------------
