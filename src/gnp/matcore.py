@@ -151,7 +151,20 @@ def symplectic_residual(S) -> float:
     S = _as_square(S)
     if S.shape[0] % 2 != 0:
         raise ValueError("symplectic candidates must be 2n x 2n")
-    J = structured("J", S.shape[0] // 2)
-    r1 = np.abs(S.T @ J @ S - J).max()
-    r2 = np.abs(S @ J @ S.T - J).max()
-    return float(max(r1, r2))
+    return float(symplectic_residuals(S[None])[0])
+
+
+def symplectic_residuals(S) -> np.ndarray:
+    """symplectic_residual of each matrix of a stack (m, 2n, 2n)."""
+    S = np.asarray(S)
+    n = S.shape[-1] // 2
+    J = structured("J", n)
+    St = np.swapaxes(S, -1, -2)
+    r1 = np.abs(_times_j(St, n) @ S - J).max(axis=(-2, -1))
+    r2 = np.abs(_times_j(S, n) @ St - J).max(axis=(-2, -1))
+    return np.maximum(r1, r2)
+
+
+def _times_j(M, n: int) -> np.ndarray:
+    """M @ J as the exact column-block swap [-M_right, M_left]."""
+    return np.concatenate([-M[..., n:], M[..., :n]], axis=-1)

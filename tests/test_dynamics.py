@@ -118,6 +118,94 @@ def test_rk4_builds_its_generator_once_per_run(kind, monkeypatch):
 # ---------------------------------------------------------------------------
 # RK4 integrator
 
+def rk4_reference(kind, X0, H, t_end, steps):
+    """The stage-wise RK4 loop, four right-hand sides per step: the kernels
+    and the det drift of each step."""
+    J = structured("J", len(H) // 2)
+    B = J @ H if kind == "covariance" else -1j * H @ J
+    X = np.asarray(X0, dtype=complex)
+    h = t_end / steps
+    det0 = np.linalg.det(X)
+    kernels_, drift = [X], [0.0]
+    for k in range(steps):
+        k1 = dynamics._rhs(B, X)
+        k2 = dynamics._rhs(B, X + 0.5 * h * k1)
+        k3 = dynamics._rhs(B, X + 0.5 * h * k2)
+        k4 = dynamics._rhs(B, X + h * k3)
+        X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(X)):
+            raise matcore.NumericalError(f"non-finite kernel at step {k + 1}")
+        kernels_.append(X)
+        drift.append(abs(np.linalg.det(X) - det0) / abs(det0))
+    return kernels_, drift
+
+
+def rk4_input(kind, n, rng):
+    G = random_valid_g(n, rng)
+    X0 = kernels.g_to_sigma(G) if kind == "covariance" else kernels.g_to_r(G)
+    return X0, random_symmetric(2 * n, rng, scale=0.6)
+
+
+@pytest.mark.parametrize("kind", ["normal", "covariance"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rk4_increment_matches_the_stage_wise_loop(kind, n):
+    rng = np.random.default_rng([94, n])
+    X0, H = rk4_input(kind, n, rng)
+    for steps in (1, 10, 1000):
+        ref, ref_drift = rk4_reference(kind, X0, H, 1.0, steps)
+        traj = dynamics.integrate_rk4(kind, X0, H, 1.0, steps)
+        assert len(traj.kernels) == steps + 1
+        for X, R in zip(traj.kernels, ref):
+            assert np.abs(X - R).max() <= 1e-12 * np.abs(R).max(), steps
+        # det_drift is relative to |det X0| already
+        drift = [e["det_drift"] for e in traj.invariants_log]
+        assert np.abs(np.subtract(drift, ref_drift)).max() <= 1e-12, steps
+
+
+def test_rk4_det_drift_on_grown_kernels_stays_within_the_stage_wise_loop():
+    # these H grow R until |R|^2 >> |det R|, where every rounding of R moves
+    # det R; the compensated sum keeps the drift at or below the loop's
+    for seed in (4, 27, 30):
+        rng = np.random.default_rng([97, seed])
+        R0 = kernels.g_to_r(random_valid_g(1, rng))
+        A = 2.0 * rng.standard_normal((2, 2))
+        H = A @ A.T + np.eye(2)
+        ref_drift = rk4_reference("normal", R0, H, 1.0, 1000)[1]
+        traj = dynamics.integrate_rk4("normal", R0, H, 1.0, 1000)
+        assert max(e["det_drift"] for e in traj.invariants_log) <= max(ref_drift)
+
+
+def test_rk4_blow_up_names_the_first_non_finite_step():
+    # h * 100 per step: each step multiplies the kernel by ~4e6
+    H = 100.0 * np.eye(2)
+    R0 = thermal_r()
+    with pytest.raises(matcore.NumericalError) as ref, np.errstate(all="ignore"):
+        rk4_reference("normal", R0, H, 60.0, 60)
+    with pytest.raises(matcore.NumericalError) as new:
+        dynamics.integrate_rk4("normal", R0, H, 60.0, 60)
+    assert str(ref.value) == "non-finite kernel at step 40"
+    assert str(new.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("kind", ["normal", "covariance"])
+def test_rk4_at_t_zero_is_constant(kind):
+    X0, H = rk4_input(kind, 2, np.random.default_rng(95))
+    traj = dynamics.integrate_rk4(kind, X0, H, 0.0, 10)
+    assert traj.times == [0.0] * 11
+    for X in traj.kernels:
+        np.testing.assert_array_equal(X, X0)
+    assert all(e["det_drift"] == 0.0 for e in traj.invariants_log)
+    assert all(e.get("symplectic_residual", 0.0) == 0.0
+               for e in traj.invariants_log)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rk4_accumulated_propagator_stays_symplectic(n):
+    X0, H = rk4_input("covariance", n, np.random.default_rng([96, n]))
+    traj = dynamics.integrate_rk4("covariance", X0, H, 1.0, 1000)
+    assert dynamics.invariants_report(traj).max_symplectic_residual < 1e-10
+
+
 def test_rk4_matches_closed_form_variant_b():
     rng = np.random.default_rng(77)
     R0 = kernels.g_to_r(random_valid_g(1, rng))

@@ -7,7 +7,7 @@ from gnp import matcore
 from gnp.errors import DomainError, NumericalError
 from gnp.matcore import structured
 
-from util import random_symmetric
+from util import random_symmetric, random_symplectic
 
 
 def test_structured_identities():
@@ -114,3 +114,16 @@ def test_symplectic_residual_zero_for_group_elements():
         assert matcore.symplectic_residual(S) < 1e-12
     # a clearly non-symplectic matrix has order-one residual
     assert matcore.symplectic_residual(2 * np.eye(2)) > 1.0
+
+
+def test_stacked_symplectic_residuals_match_each_matrix():
+    rng = np.random.default_rng(20)
+    for n in (1, 2, 3, 4):
+        S = np.array([random_symplectic(n, rng, scale=s) for s in (0.1, 0.5, 1.0)])
+        S[2] += 1e-6 * rng.standard_normal(S[2].shape)
+        J = structured("J", n)
+        expected = [max(np.abs(M.T @ J @ M - J).max(), np.abs(M @ J @ M.T - J).max())
+                    for M in S]
+        stacked = matcore.symplectic_residuals(S)
+        np.testing.assert_array_equal(stacked, expected)
+        assert [matcore.symplectic_residual(M) for M in S] == list(stacked)
