@@ -63,7 +63,6 @@ def cmd_convert(args) -> int:
     out_state = kernels.GaussianState(
         n_modes=state.n_modes,
         forms={args.to: kernels.ensure_form(state, args.to)},
-        convention=args.convention,
         provenance=(state.provenance + f" | converted {form}->{args.to}").strip(" |"),
     )
     stateio.write_state(args.output, out_state, args.to)
@@ -102,7 +101,6 @@ def cmd_evolve(args) -> int:
     final_state = kernels.GaussianState(
         n_modes=state.n_modes,
         forms={form: traj.kernels[-1]},
-        convention=state.convention,
         provenance=(state.provenance
                     + f" | evolved {args.method} t={args.t}").strip(" |"),
     )
@@ -195,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="convert a state between kernel forms")
     p.add_argument("state")
     p.add_argument("--to", required=True, choices=kernels.FORMS)
-    p.add_argument("--convention", default=kernels.AS_PUBLISHED,
-                   choices=(kernels.AS_PUBLISHED, kernels.CALIBRATED))
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(handler=cmd_convert)
 
@@ -220,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn", default="q", choices=tuple(_FN_NAMES))
     p.add_argument("--grid", default="-2:2:41")
     p.add_argument("--convention", default=kernels.CALIBRATED,
-                   choices=(kernels.AS_PUBLISHED, kernels.CALIBRATED))
+                   choices=tuple(kernels._CONVENTIONS))
     p.add_argument("--check-norm", action="store_true")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(handler=cmd_phase)

@@ -18,7 +18,7 @@ Operator-vector ordering throughout: A = (a_1..a_n, a_1^+..a_n^+)^T.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, NamedTuple
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class GaussianState:
 
     n_modes: int
     forms: Dict[str, np.ndarray]
-    convention: str = AS_PUBLISHED
     provenance: str = ""
 
     def __post_init__(self):
@@ -158,22 +157,17 @@ def validate_state(state: GaussianState) -> ValidationReport:
         report.add("R.nonsingular", 0.0 if det > 1e-12 else 1.0, 0.5,
                    note=f"|det R| = {det:.3e}")
 
-    # cross-form consistency (only meaningful pairs)
-    def cross(name, computed, stored):
-        scale = max(np.abs(stored).max(), 1.0)
-        report.add(name, np.abs(computed - stored).max() / scale, TOL_CONV)
-
+    # cross-form consistency: sigma from G; R and C from sigma when it is
+    # stored, else from G
     try:
-        if state.has("G") and state.has("sigma"):
-            cross("cross.G_vs_sigma", g_to_sigma(state.forms["G"]), state.forms["sigma"])
-        if state.has("sigma") and state.has("R"):
-            cross("cross.sigma_vs_R", sigma_to_r(state.forms["sigma"]), state.forms["R"])
-        if state.has("G") and state.has("R") and not state.has("sigma"):
-            cross("cross.G_vs_R", g_to_r(state.forms["G"]), state.forms["R"])
-        if state.has("sigma") and state.has("C"):
-            cross("cross.sigma_vs_C", sigma_to_c(state.forms["sigma"]), state.forms["C"])
-        if state.has("C") and not state.has("sigma") and state.has("G"):
-            cross("cross.G_vs_C", c_from_g(state.forms["G"]), state.forms["C"])
+        for dst in ("sigma", "R", "C"):
+            src = "sigma" if dst != "sigma" and state.has("sigma") else "G"
+            if not (state.has(src) and state.has(dst)):
+                continue
+            stored = state.forms[dst]
+            residual = np.abs(_CONVERTERS[(src, dst)](state.forms[src]) - stored).max()
+            report.add(f"cross.{src}_vs_{dst}",
+                       residual / max(np.abs(stored).max(), 1.0), TOL_CONV)
     except (DomainError, NumericalError) as exc:
         report.add("cross.evaluable", 1.0, 0.5, note=str(exc))
     return report
@@ -322,8 +316,7 @@ def symplectic_spectrum(G) -> SymplecticSpectrum:
     if len(pos) != n or len(neg) != n or np.abs(pos - neg).max() > 1e-9 * scale:
         raise DomainError("eigenvalues of J G do not pair as +-i omega")
     omegas = 0.5 * (pos + neg)
-    nus = (1.0 + np.exp(-omegas)) / (1.0 - np.exp(-omegas))
-    return SymplecticSpectrum(omegas=omegas, nus=nus)
+    return SymplecticSpectrum(omegas=omegas, nus=_eq9_ratio(omegas))
 
 
 def _check_omegas(omegas) -> np.ndarray:
@@ -348,7 +341,7 @@ def make_thermal(omegas) -> GaussianState:
     """Thermal normal form: G = diag(omega, omega) (the K-tilde block form)."""
     omegas = _check_omegas(omegas)
     G = np.diag(np.concatenate([omegas, omegas])).astype(complex)
-    nus = (1.0 + np.exp(-omegas)) / (1.0 - np.exp(-omegas))
+    nus = _eq9_ratio(omegas)
     sigma = np.diag(np.concatenate([nus, nus])).astype(complex)
     return GaussianState(
         n_modes=len(omegas),
@@ -365,7 +358,7 @@ def make_squeezed_thermal(omegas, rs) -> GaussianState:
         raise ValueError("need one squeeze parameter per mode")
     S = squeeze_symplectic(rs)
     Ktilde = np.diag(np.concatenate([omegas, omegas]))
-    nus = (1.0 + np.exp(-omegas)) / (1.0 - np.exp(-omegas))
+    nus = _eq9_ratio(omegas)
     nutilde = np.diag(np.concatenate([nus, nus]))
     Sinv = np.linalg.inv(S)
     G = (S.T @ Ktilde @ S).astype(complex)
@@ -415,14 +408,22 @@ DEFAULT_BRIDGE = ConventionBridge(
     r_map="negate", prefactor_rule="trace-normalized", residual=2.755e-10
 )
 
-# convention -> (bridge map, prefactor rule); calibrated is the measured bridge
+
+class _Convention(NamedTuple):
+    r_map: str
+    prefactor_rule: str
+    integral_sign: float      # exponent sign of the coherent-state Gaussian integral
+
+
+# one entry per convention; calibrated is the measured bridge and the
+# integral sign that agrees with quadrature
 _CONVENTIONS = {
-    AS_PUBLISHED: ("identity", "sqrt-det-R"),
-    CALIBRATED: (DEFAULT_BRIDGE.r_map, DEFAULT_BRIDGE.prefactor_rule),
+    AS_PUBLISHED: _Convention("identity", "sqrt-det-R", -1.0),
+    CALIBRATED: _Convention(DEFAULT_BRIDGE.r_map, DEFAULT_BRIDGE.prefactor_rule, +1.0),
 }
 
 
-def _convention(convention: str):
+def _convention(convention: str) -> _Convention:
     if convention not in _CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     return _CONVENTIONS[convention]
@@ -463,7 +464,7 @@ def prefactor(R, mode: str = AS_PUBLISHED) -> Prefactor:
     as-published: principal sqrt(det R); non-real values are flagged.
     calibrated: trace-normalizing constant N with N Tr(:exp(-A^T R A / 2):) = 1.
     """
-    _, rule = _convention(mode)
+    rule = _convention(mode).prefactor_rule
     if abs(matcore.determinant(R)) < 1e-300:
         raise NumericalError("singular R: det R = 0")
     value = prefactor_by_rule(R, rule)
@@ -474,8 +475,7 @@ def prefactor(R, mode: str = AS_PUBLISHED) -> Prefactor:
 def resolve_convention(R, convention: str) -> tuple[complex, np.ndarray]:
     """(prefactor, mapped R): the normal-product kernel under a convention's
     bridge map, and the prefactor of the mapped kernel."""
-    r_map, _ = _convention(convention)
-    R = apply_r_map(R, r_map)
+    R = apply_r_map(R, _convention(convention).r_map)
     return prefactor(R, convention).value, R
 
 

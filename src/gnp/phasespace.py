@@ -2,16 +2,17 @@
 
 Husimi-Q, Wigner and characteristic functions of Gaussian states, the
 coherent-state Gaussian integral, grid evaluation and a numerical
-normalization check.  The integration measure is fixed to d^2z/pi per mode;
-every PhaseTable records it.
+normalization check.  Phase-space points are complex arrays throughout: a
+single-point evaluator takes the n mode amplitudes z, and a grid is one (m,)
+array of single-mode amplitudes, row-major over (re, im), from
+PhaseGrid.points() to the CSV.  The integration measure is fixed to d^2z/pi
+per mode; every PhaseTable records it.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -22,22 +23,7 @@ from .matcore import structured
 
 MEASURE_NOTE = "d^2z/pi per mode"
 QUAD_POINTS = 201      # points per axis of the q_norm_check quadrature
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Phase-space point; z holds the n mode amplitudes."""
-
-    z: np.ndarray
-
-    @staticmethod
-    def of(z) -> "PhasePoint":
-        return PhasePoint(z=np.atleast_1d(np.asarray(z, dtype=complex)))
-
-    @property
-    def Z(self) -> np.ndarray:
-        """Assembled vector (z_1..z_n, z_1*..z_n*)."""
-        return np.concatenate([self.z, self.z.conj()])
+CSV_HEADER = "re,im,value_re,value_im"
 
 
 @dataclass(frozen=True)
@@ -54,33 +40,34 @@ class PhaseGrid:
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise ValueError("grid ranges must be finite")
 
-    def points(self) -> List[PhasePoint]:
-        res = np.linspace(*self.re_range)
-        ims = np.linspace(*self.im_range)
-        # row-major over (re, im)
-        return [PhasePoint.of(re + 1j * im) for re in res for im in ims]
+    def axes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The Re z and Im z samples."""
+        return np.linspace(*self.re_range), np.linspace(*self.im_range)
+
+    def points(self) -> np.ndarray:
+        """The (m,) amplitudes z, row-major over (re, im)."""
+        res, ims = self.axes()
+        return (res[:, None] + 1j * ims).ravel()
 
 
 @dataclass
 class PhaseTable:
     function_kind: str            # husimi | wigner | charfn
     convention: str
-    points: List[PhasePoint] = field(default_factory=list)
-    values: List[complex] = field(default_factory=list)
+    points: np.ndarray            # (m,) single-mode amplitudes z
+    values: np.ndarray            # (m,) function values
     measure_note: str = MEASURE_NOTE
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# function_kind={self.function_kind}\n")
-        buf.write(f"# convention={self.convention}\n")
-        buf.write(f"# measure_note={self.measure_note}\n")
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["re", "im", "value_re", "value_im"])
-        for p, v in zip(self.points, self.values):
-            z = p.z[0]
-            w.writerow([repr(float(z.real)), repr(float(z.imag)),
-                        repr(float(v.real)), repr(float(v.imag))])
-        return buf.getvalue()
+        lines = [f"# function_kind={self.function_kind}",
+                 f"# convention={self.convention}",
+                 f"# measure_note={self.measure_note}",
+                 CSV_HEADER]
+        columns = (self.points.real, self.points.imag,
+                   self.values.real, self.values.imag)
+        lines += [",".join(map(repr, row))
+                  for row in zip(*(c.tolist() for c in columns))]
+        return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_csv(text: str) -> "PhaseTable":
@@ -92,23 +79,23 @@ class PhaseTable:
                 meta[key] = val
             elif line.strip():
                 rows.append(line)
-        reader = csv.reader(rows)
-        header = next(reader)
-        if header != ["re", "im", "value_re", "value_im"]:
+        if not rows or rows[0] != CSV_HEADER:
             raise ValueError("unexpected phase CSV header")
-        table = PhaseTable(function_kind=meta.get("function_kind", ""),
-                           convention=meta.get("convention", ""),
-                           measure_note=meta.get("measure_note", ""))
-        for row in reader:
-            re, im, vre, vim = map(float, row)
-            table.points.append(PhasePoint.of(re + 1j * im))
-            table.values.append(complex(vre, vim))
-        return table
+        fields = [[float(f) for f in row.split(",")] for row in rows[1:]]
+        if any(len(row) != 4 for row in fields):
+            raise ValueError("phase CSV rows need four fields")
+        # each row's (re, im) and (value_re, value_im) pairs read as complex
+        pairs = np.array(fields, dtype=float).reshape(-1, 4).view(complex)
+        return PhaseTable(function_kind=meta.get("function_kind", ""),
+                          convention=meta.get("convention", ""),
+                          points=pairs[:, 0], values=pairs[:, 1],
+                          measure_note=meta.get("measure_note", ""))
 
 
-def _row(Z) -> np.ndarray:
-    """A phase point as a stack of one Z vector, shape (1, 2n)."""
-    return (Z if isinstance(Z, PhasePoint) else PhasePoint.of(Z)).Z[None, :]
+def _z_stack(z) -> np.ndarray:
+    """Z vectors (z_1..z_n, z_1*..z_n*) of a stack of points z, (m, n) -> (m, 2n)."""
+    z = np.asarray(z, dtype=complex)
+    return np.concatenate([z, z.conj()], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -140,23 +127,26 @@ def _evaluate(state: GaussianState, function_kind: str, Zs,
     raise ValueError(f"unknown function kind {function_kind!r}")
 
 
-def husimi_q(state: GaussianState, Z, convention: str = AS_PUBLISHED) -> complex:
-    """Husimi-Q value at a phase point.
+def husimi_q(state: GaussianState, z, convention: str = AS_PUBLISHED) -> complex:
+    """Husimi-Q value at the phase point with mode amplitudes z (n values).
 
     as-published: sqrt(det R) exp(-1/2 Z^T R Z) with the literal kernel.
     calibrated: bridge-mapped kernel with the trace-normalizing prefactor.
     """
-    return complex(_evaluate(state, "husimi", _row(Z), convention)[0])
+    return complex(_evaluate(state, "husimi", _z_stack([np.atleast_1d(z)]),
+                             convention)[0])
 
 
-def wigner(state: GaussianState, Z) -> complex:
+def wigner(state: GaussianState, z) -> complex:
     """W(Z) = det(sigma)^{-1/2} exp(-Z^dag sigma^-1 Z), literal form."""
-    return complex(_evaluate(state, "wigner", _row(Z), AS_PUBLISHED)[0])
+    return complex(_evaluate(state, "wigner", _z_stack([np.atleast_1d(z)]),
+                             AS_PUBLISHED)[0])
 
 
-def char_fn(state: GaussianState, Z) -> complex:
+def char_fn(state: GaussianState, z) -> complex:
     """C(Z) = exp(-1/2 Z^dag C Z)."""
-    return complex(_evaluate(state, "charfn", _row(Z), AS_PUBLISHED)[0])
+    return complex(_evaluate(state, "charfn", _z_stack([np.atleast_1d(z)]),
+                             AS_PUBLISHED)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +167,7 @@ def gauss_integral(V, X, convention: str = CALIBRATED) -> complex:
     the two diagonal n x n blocks of V agree, which is the class the closed
     form is exact for (all state-derived kernels C + I/2 are in it).
     """
+    sign = kernels._convention(convention).integral_sign
     V = np.asarray(V, dtype=complex)
     X = np.asarray(X, dtype=complex)
     n = V.shape[0] // 2
@@ -189,9 +180,6 @@ def gauss_integral(V, X, convention: str = CALIBRATED) -> complex:
     E = structured("E", n)
     pref = complex(np.sqrt(matcore.determinant(V))) ** -1
     quad = 0.5 * (X @ E @ matcore.dense_solve(V, X))
-    sign = -1.0 if convention == AS_PUBLISHED else +1.0
-    if convention not in (AS_PUBLISHED, CALIBRATED):
-        raise ValueError(f"unknown convention {convention!r}")
     return complex(pref * np.exp(sign * quad))
 
 
@@ -205,10 +193,9 @@ def grid_eval(state: GaussianState, function_kind: str, grid: PhaseGrid,
     The state's kernel is resolved once for the whole grid.
     """
     points = grid.points()
-    values = _evaluate(state, function_kind, np.stack([p.Z for p in points]),
-                       convention)
+    values = _evaluate(state, function_kind, _z_stack(points[:, None]), convention)
     return PhaseTable(function_kind=function_kind, convention=convention,
-                      points=points, values=values.tolist())
+                      points=points, values=values)
 
 
 def q_norm_check(state: GaussianState, convention: str = CALIBRATED) -> float:
@@ -216,17 +203,19 @@ def q_norm_check(state: GaussianState, convention: str = CALIBRATED) -> float:
 
     A QUAD_POINTS x QUAD_POINTS rectangle rule over the box |Re z|, |Im z| <=
     max(4, 4 max|sigma|^(1/2)).  Raises DomainError for a non-decaying
-    integrand; the error message carries the finite-box integral estimate
-    for the record.
+    integrand.  For as-published the message carries the finite-box integral
+    estimate for the record; for calibrated the trace-normalizing prefactor
+    (kernels.trace_of_normal_exponential) raises first, without it.
     """
     if state.n_modes != 1:
         raise ValueError("normalization quadrature is single-mode only")
     sigma = kernels.ensure_form(state, "sigma")
     radius = max(4.0, 4.0 * float(np.sqrt(np.abs(sigma).max())))
-    xs = np.linspace(-radius, radius, QUAD_POINTS)
+    box = PhaseGrid(re_range=(-radius, radius, QUAD_POINTS),
+                    im_range=(-radius, radius, QUAD_POINTS))
+    xs, _ = box.axes()
     dx = xs[1] - xs[0]
-    z = (xs[:, None] + 1j * xs).ravel()      # row-major over (re, im)
-    values = _evaluate(state, "husimi", np.stack([z, z.conj()], axis=1), convention)
+    values = _evaluate(state, "husimi", _z_stack(box.points()[:, None]), convention)
     integral = complex(np.sum(values) * dx * dx / np.pi)
     _, R = kernels.resolve_convention(kernels.ensure_form(state, "R"), convention)
     if np.linalg.eigvalsh(kernels._husimi_real_form(R)).min() <= 0:

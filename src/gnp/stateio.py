@@ -14,7 +14,7 @@ import numpy as np
 
 from .dynamics import QuadraticHamiltonian, Trajectory
 from .errors import GnpError
-from .kernels import AS_PUBLISHED, FORMS, GaussianState
+from .kernels import FORMS, GaussianState
 
 
 class ParseError(GnpError):
@@ -26,17 +26,37 @@ def _matrix_to_pairs(M) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in M]
 
 
-def _pairs_to_matrix(data, context: str) -> np.ndarray:
+def _pairs_to_matrix(data, n: int, path) -> np.ndarray:
+    """The 2n x 2n matrix of a file's [re, im] pair entries."""
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"{context}: matrix entries must be [re, im] pairs") from exc
+        raise ParseError(f"{path}: matrix entries must be [re, im] pairs") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ParseError(f"{context}: matrix entries must be [re, im] pairs")
+        raise ParseError(f"{path}: matrix entries must be [re, im] pairs")
     M = arr[..., 0] + 1j * arr[..., 1]
     if not np.all(np.isfinite(arr)):
-        raise ParseError(f"{context}: non-finite matrix entry")
+        raise ParseError(f"{path}: non-finite matrix entry")
+    if M.shape != (2 * n, 2 * n):
+        raise ParseError(f"{path}: matrix shape {M.shape} does not match "
+                         f"n_modes={n}")
     return M
+
+
+def _load(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _dump(path, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 def write_state(path, state: GaussianState, form: str) -> None:
@@ -44,24 +64,18 @@ def write_state(path, state: GaussianState, form: str) -> None:
         "n_modes": state.n_modes,
         "form": form,
         "matrix": _matrix_to_pairs(state.forms[form]),
-        "convention": state.convention,
     }
     if state.provenance:
         doc["provenance"] = state.provenance
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _dump(path, doc)
 
 
 def read_state(path):
-    """Load a state file; returns (GaussianState, stored form name)."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    """Load a state file; returns (GaussianState, stored form name).
+
+    Keys other than n_modes, form, matrix and provenance are ignored.
+    """
+    doc = _load(path)
     try:
         n = int(doc["n_modes"])
         form = doc["form"]
@@ -70,42 +84,25 @@ def read_state(path):
         raise ParseError(f"{path}: missing or malformed field ({exc})") from exc
     if form not in FORMS:
         raise ParseError(f"{path}: unknown form {form!r}")
-    M = _pairs_to_matrix(matrix, path)
-    if M.shape != (2 * n, 2 * n):
-        raise ParseError(f"{path}: matrix shape {M.shape} does not match "
-                         f"n_modes={n}")
     state = GaussianState(
         n_modes=n,
-        forms={form: M},
-        convention=doc.get("convention", AS_PUBLISHED),
+        forms={form: _pairs_to_matrix(matrix, n, path)},
         provenance=doc.get("provenance", ""),
     )
     return state, form
 
 
 def write_hamiltonian(path, ham: QuadraticHamiltonian) -> None:
-    doc = {"n_modes": ham.n_modes, "matrix": _matrix_to_pairs(ham.H)}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _dump(path, {"n_modes": ham.n_modes, "matrix": _matrix_to_pairs(ham.H)})
 
 
 def read_hamiltonian(path) -> QuadraticHamiltonian:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    doc = _load(path)
     try:
         n = int(doc["n_modes"])
-        M = _pairs_to_matrix(doc["matrix"], path)
+        M = _pairs_to_matrix(doc["matrix"], n, path)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: missing or malformed field ({exc})") from exc
-    if M.shape != (2 * n, 2 * n):
-        raise ParseError(f"{path}: matrix shape {M.shape} does not match "
-                         f"n_modes={n}")
     if np.abs(M.imag).max() > 0:
         raise ParseError(f"{path}: Hamiltonian kernel must be real")
     try:

@@ -69,6 +69,30 @@ def test_read_state_parse_errors(tmp_path):
         stateio.read_state(bad)
 
 
+def test_read_hamiltonian_parse_errors(tmp_path):
+    bad = tmp_path / "h.json"
+    bad.write_text("[1,")
+    with pytest.raises(ParseError, match="invalid JSON"):
+        stateio.read_hamiltonian(bad)
+    bad.write_text(json.dumps({"n_modes": 2, "matrix": [[[1.0, 0.0]]]}))
+    with pytest.raises(ParseError, match="does not match n_modes=2"):
+        stateio.read_hamiltonian(bad)
+    with pytest.raises(ParseError, match="cannot read"):
+        stateio.read_hamiltonian(tmp_path / "missing.json")
+
+
+def test_state_files_carry_no_convention_key(tmp_path):
+    path = tmp_path / "st.json"
+    stateio.write_state(path, kernels.make_thermal([1.3]), "G")
+    doc = json.loads(path.read_text())
+    assert "convention" not in doc
+    # older files that carry the key still read
+    doc["convention"] = "calibrated"
+    path.write_text(json.dumps(doc))
+    back, form = stateio.read_state(path)
+    assert form == "G"
+
+
 def test_trajectory_csv_round_trip():
     traj = dynamics.integrate_rk4(
         "normal", -0.5 * np.eye(2)[::-1].astype(complex), np.eye(2), 0.3, 10)
@@ -129,6 +153,12 @@ def test_convert_g_to_r(thermal_file, tmp_path, capsys):
     assert form == "R"
     np.testing.assert_allclose(st.forms["R"], -0.5 * np.eye(2)[::-1],
                                atol=1e-12)
+
+
+def test_convert_has_no_convention_flag(thermal_file, tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["convert", thermal_file, "--to", "R", "--convention",
+                  "calibrated", "-o", str(tmp_path / "r.json")])
 
 
 def test_convert_same_form_identical_matrix(thermal_file, tmp_path):
@@ -213,8 +243,7 @@ def test_phase_grid_center(thermal_file, tmp_path, capsys):
                      "--convention", "calibrated", "-o", str(out)]) == 0
     from gnp.phasespace import PhaseTable
     table = PhaseTable.from_csv(out.read_text())
-    center = [v for p, v in zip(table.points, table.values)
-              if abs(p.z[0]) < 1e-12]
+    center = table.values[np.abs(table.points) < 1e-12]
     assert len(center) == 1
     assert abs(center[0] - 0.5) < 1e-12
 

@@ -121,6 +121,24 @@ def test_validate_catches_asymmetric_g():
     assert not kernels.validate_state(st).passed
 
 
+def test_validate_all_four_forms_check_names():
+    st = kernels.make_squeezed_thermal([0.9], [0.3])
+    full = kernels.GaussianState(1, {f: kernels.ensure_form(st, f) for f in kernels.FORMS})
+    report = kernels.validate_state(full)
+    assert report.passed
+    assert [c.name for c in report.checks] == [
+        "G.real", "G.symmetric", "G.positive_definite",
+        "sigma.symmetric", "sigma.thermal_floor", "R.nonsingular",
+        "cross.G_vs_sigma", "cross.sigma_vs_R", "cross.sigma_vs_C"]
+
+
+def test_validate_without_sigma_checks_r_and_c_against_g():
+    st = kernels.make_thermal([1.3])
+    forms = {f: kernels.ensure_form(st, f) for f in ("G", "R", "C")}
+    names = [c.name for c in kernels.validate_state(kernels.GaussianState(1, forms)).checks]
+    assert [n for n in names if n.startswith("cross.")] == ["cross.G_vs_R", "cross.G_vs_C"]
+
+
 def test_validate_catches_inconsistent_pair():
     st = kernels.GaussianState(
         1, {"G": (LN2 * np.eye(2)).astype(complex),

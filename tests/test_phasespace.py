@@ -1,11 +1,14 @@
 """Phase-space evaluators, Gaussian integral, grids and normalization."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from gnp import kernels, matcore, phasespace
 from gnp.errors import DomainError
-from gnp.phasespace import PhaseGrid, PhasePoint, PhaseTable
+from gnp.phasespace import PhaseGrid, PhaseTable
 
 LN2 = np.log(2.0)
 
@@ -43,7 +46,7 @@ def test_wigner_finite_on_grid():
     st = thermal()
     grid = PhaseGrid(re_range=(-3, 3, 21), im_range=(-3, 3, 21))
     table = phasespace.grid_eval(st, "wigner", grid)
-    vals = np.array(table.values)
+    vals = table.values
     assert np.all(np.isfinite(vals))
     assert vals.real.max() <= 1.0 + 1e-12
 
@@ -62,6 +65,9 @@ def test_unknown_convention_is_rejected():
         phasespace.q_norm_check(st, "bogus")
     with pytest.raises(ValueError):
         kernels.prefactor(kernels.ensure_form(st, "R"), "bogus")
+    # the name is looked up before the integrand's decay is checked
+    with pytest.raises(ValueError):
+        phasespace.gauss_integral(-np.eye(2), np.zeros(2), "bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +105,10 @@ def test_grid_eval_equals_single_point_evaluators(form):
     grid = PhaseGrid(re_range=(-2, 2, 9), im_range=(-1.5, 1.5, 7))
     for kind, conv in _GRID_CASES:
         table = phasespace.grid_eval(st, kind, grid, conv)
-        singles = [_single_point(st, kind, conv, p.z[0]) for p in table.points]
-        reference = [_per_point_reference(st, kind, conv, p.Z) for p in table.points]
-        assert table.values == singles == reference      # bit for bit
+        singles = [_single_point(st, kind, conv, z) for z in table.points]
+        reference = [_per_point_reference(st, kind, conv, np.array([z, z.conj()]))
+                     for z in table.points]
+        assert table.values.tolist() == singles == reference      # bit for bit
 
 
 def test_grid_eval_resolves_the_kernel_once(monkeypatch):
@@ -123,7 +130,8 @@ def test_grid_eval_resolves_the_kernel_once(monkeypatch):
 
 def test_grid_row_major_order():
     grid = PhaseGrid(re_range=(-1, 1, 3), im_range=(-1, 1, 2))
-    pts = [p.z[0] for p in grid.points()]
+    pts = grid.points()
+    assert pts.shape == (6,)
     assert pts[0] == -1 - 1j and pts[1] == -1 + 1j and pts[2] == 0 - 1j
 
 
@@ -154,7 +162,53 @@ def test_phase_table_csv_round_trip():
     assert back.convention == kernels.CALIBRATED
     assert back.measure_note == phasespace.MEASURE_NOTE
     assert back.to_csv() == text      # bit-exact round trip
-    np.testing.assert_array_equal(np.array(back.values), np.array(table.values))
+    np.testing.assert_array_equal(back.points, table.points)
+    np.testing.assert_array_equal(back.values, table.values)
+
+
+def _csv_writer_reference(table):
+    """The per-point csv.writer table writer the array writer replaced."""
+    buf = io.StringIO()
+    buf.write(f"# function_kind={table.function_kind}\n")
+    buf.write(f"# convention={table.convention}\n")
+    buf.write(f"# measure_note={table.measure_note}\n")
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["re", "im", "value_re", "value_im"])
+    for z, v in zip(table.points.tolist(), table.values.tolist()):
+        w.writerow([repr(float(z.real)), repr(float(z.imag)),
+                    repr(float(v.real)), repr(float(v.imag))])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("axis", [(-2, 2, 9), (-3, 1.5, 17), (0.0, 0.0, 1),
+                                  (-0.0, -0.0, 1), (-1, 0, 3)])
+def test_to_csv_equals_csv_writer_reference(axis):
+    grid = PhaseGrid(re_range=axis, im_range=axis)
+    for st in (thermal(), kernels.make_squeezed_thermal([0.9], [0.3])):
+        for kind, conv in _GRID_CASES:
+            table = phasespace.grid_eval(st, kind, grid, conv)
+            text = table.to_csv()
+            assert text == _csv_writer_reference(table)
+            assert PhaseTable.from_csv(text).to_csv() == text
+
+
+def test_negative_zero_survives_the_csv():
+    table = PhaseTable("husimi", kernels.CALIBRATED,
+                       points=np.array([complex(-0.0, -0.0)]),
+                       values=np.array([complex(0.5, -0.0)]))
+    text = table.to_csv()
+    assert text.splitlines()[-1] == "-0.0,-0.0,0.5,-0.0"
+    assert text == _csv_writer_reference(table)
+    assert PhaseTable.from_csv(text).to_csv() == text
+
+
+def test_from_csv_rejects_a_foreign_header():
+    with pytest.raises(ValueError):
+        PhaseTable.from_csv("# function_kind=husimi\nx,y,u,v\n1,2,3,4\n")
+    with pytest.raises(ValueError):
+        PhaseTable.from_csv("# function_kind=husimi\n")
+    with pytest.raises(ValueError):
+        PhaseTable.from_csv("re,im,value_re,value_im\n" + "1,2,3\n" * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -234,3 +288,13 @@ def test_q_norm_vacuum_boundary_as_published():
     with pytest.raises(DomainError) as err:
         phasespace.q_norm_check(st, kernels.AS_PUBLISHED)
     assert "integral" in str(err.value)
+
+
+def test_q_norm_calibrated_divergent_raises_before_the_estimate():
+    # R = E decays as published; its calibrated (negated) kernel grows, and
+    # the trace-normalizing prefactor raises before any box estimate is made
+    st = kernels.GaussianState(1, {"R": np.eye(2)[::-1].astype(complex)})
+    with pytest.raises(DomainError) as err:
+        phasespace.q_norm_check(st, kernels.CALIBRATED)
+    assert "trace integrand does not decay" in str(err.value)
+    assert "finite-box estimate" not in str(err.value)
