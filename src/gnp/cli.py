@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 validation failure, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -181,24 +182,23 @@ def cmd_audit(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; main looks up cmd_<command> at call time."""
     ap = argparse.ArgumentParser(prog="gnp",
                                  description="Gaussian-state kernel toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a state file's invariants")
     p.add_argument("state")
-    p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("convert", help="convert a state between kernel forms")
     p.add_argument("state")
     p.add_argument("--to", required=True, choices=kernels.FORMS)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=cmd_convert)
 
     p = sub.add_parser("spectrum", help="symplectic spectrum of a G-form state")
     p.add_argument("state")
-    p.set_defaults(handler=cmd_spectrum)
 
     p = sub.add_parser("evolve", help="evolve a state under a quadratic "
                                       "Hamiltonian kernel")
@@ -209,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default="b", choices=("a", "b"))
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=cmd_evolve)
 
     p = sub.add_parser("phase", help="evaluate a phase-space function on a grid")
     p.add_argument("state")
@@ -219,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=tuple(kernels._CONVENTIONS))
     p.add_argument("--check-norm", action="store_true")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=cmd_phase)
 
     p = sub.add_parser("audit", help="ordering/convention audits and oracle "
                                      "calibration")
@@ -229,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-oracle", action="store_true")
     p.add_argument("--cutoff", type=int, default=40)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=cmd_audit)
 
     return ap
 
@@ -238,7 +235,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        return args.handler(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (stateio.ParseError, OSError) as exc:
         code, message = EXIT_IO, exc
     except ValueError as exc:

@@ -19,13 +19,21 @@ from .errors import DomainError, NumericalError
 TOL_EIG = 1e-9        # relative eigendecomposition reconstruction residual
 TOL_SOLVE = 1e-10     # relative linear-solve residual
 COND_LIMIT = 1e12     # condition number beyond which we refuse to proceed
+RESIDUAL_CHUNK = 128  # matrices per pass of symplectic_residuals
 
 _KINDS = ("J", "Omega", "E", "I")
 
 
 def _as_square(M) -> np.ndarray:
+    M = _as_squares(M)
+    if M.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    return M
+
+
+def _as_squares(M) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise NumericalError("matrix contains non-finite entries")
@@ -91,8 +99,8 @@ def eig_decomp(M) -> EigDecomp:
 
 
 def mat_exp(M) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring, via scipy)."""
-    M = _as_square(M)
+    """Matrix exponential (via scipy) of M or of each matrix of a stack."""
+    M = _as_squares(M)
     out = scipy.linalg.expm(M)
     if not np.all(np.isfinite(out)):
         raise NumericalError("matrix exponential overflowed")
@@ -155,8 +163,12 @@ def symplectic_residual(S) -> float:
 
 
 def symplectic_residuals(S) -> np.ndarray:
-    """symplectic_residual of each matrix of a stack (m, 2n, 2n)."""
+    """symplectic_residual of each matrix of a stack (m, 2n, 2n), taken
+    RESIDUAL_CHUNK matrices at a time to bound the transients."""
     S = np.asarray(S)
+    if len(S) > RESIDUAL_CHUNK:
+        return np.concatenate([symplectic_residuals(S[k:k + RESIDUAL_CHUNK])
+                               for k in range(0, len(S), RESIDUAL_CHUNK)])
     n = S.shape[-1] // 2
     J = structured("J", n)
     St = np.swapaxes(S, -1, -2)

@@ -107,13 +107,12 @@ def _evaluate(state: GaussianState, function_kind: str, Zs,
 
     The state's kernel and prefactor are resolved once for all rows.
     """
+    if function_kind == "husimi":
+        return _husimi(*kernels.resolve_convention(
+            kernels.ensure_form(state, "R"), convention), Zs)
     # stacked (1, 2n) @ (2n, 2n) @ (2n, 1) products repeat the arithmetic of
     # the 1-D product Z @ M @ Z bit for bit; einsum does not
     Zr, Zc = Zs[:, None, :], Zs[:, :, None]
-    if function_kind == "husimi":
-        N, R = kernels.resolve_convention(kernels.ensure_form(state, "R"),
-                                          convention)
-        return N * np.exp(-0.5 * (Zr @ R @ Zc)[:, 0, 0])
     if function_kind == "wigner":
         sigma = kernels.ensure_form(state, "sigma")
         det = matcore.determinant(sigma)
@@ -125,6 +124,11 @@ def _evaluate(state: GaussianState, function_kind: str, Zs,
         C = kernels.ensure_form(state, "C")
         return np.exp(-0.5 * (Zr.conj() @ C @ Zc)[:, 0, 0])
     raise ValueError(f"unknown function kind {function_kind!r}")
+
+
+def _husimi(N, R, Zs) -> np.ndarray:
+    """N exp(-1/2 Z^T R Z) at the rows of Zs, from the resolved (N, R)."""
+    return N * np.exp(-0.5 * (Zs[:, None, :] @ R @ Zs[:, :, None])[:, 0, 0])
 
 
 def husimi_q(state: GaussianState, z, convention: str = AS_PUBLISHED) -> complex:
@@ -215,9 +219,9 @@ def q_norm_check(state: GaussianState, convention: str = CALIBRATED) -> float:
                     im_range=(-radius, radius, QUAD_POINTS))
     xs, _ = box.axes()
     dx = xs[1] - xs[0]
-    values = _evaluate(state, "husimi", _z_stack(box.points()[:, None]), convention)
+    N, R = kernels.resolve_convention(kernels.ensure_form(state, "R"), convention)
+    values = _husimi(N, R, _z_stack(box.points()[:, None]))
     integral = complex(np.sum(values) * dx * dx / np.pi)
-    _, R = kernels.resolve_convention(kernels.ensure_form(state, "R"), convention)
     if np.linalg.eigvalsh(kernels._husimi_real_form(R)).min() <= 0:
         raise DomainError(
             "Husimi integrand does not decay (divergent normalization); "

@@ -7,7 +7,6 @@ reader bit-exactly.
 
 from __future__ import annotations
 
-import io
 import json
 
 import numpy as np
@@ -113,33 +112,24 @@ def read_hamiltonian(path) -> QuadraticHamiltonian:
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Trajectory CSV: t, kernel entries re/im interleaved row-major, det,
-    and the logged invariant residuals."""
-    dim = traj.kernels[0].shape[0]
-    cols = ["t"]
-    for i in range(dim):
-        for j in range(dim):
-            cols += [f"k{i}{j}_re", f"k{i}{j}_im"]
-    cols += ["det_re", "det_im"]
-    extra = sorted(traj.invariants_log[0]) if traj.invariants_log else []
-    cols += extra
-    buf = io.StringIO()
-    buf.write(f"# kind={traj.kind}\n")
-    buf.write(",".join(cols) + "\n")
-    for idx, (t, K) in enumerate(zip(traj.times, traj.kernels)):
-        row = [repr(float(t))]
-        for v in np.asarray(K, dtype=complex).ravel():
-            row += [repr(float(v.real)), repr(float(v.imag))]
-        det = complex(np.linalg.det(K))
-        row += [repr(det.real), repr(det.imag)]
-        if traj.invariants_log:
-            log = traj.invariants_log[idx]
-            row += [repr(float(log[k])) for k in extra]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    and the invariant residuals the trajectory logs (its fields not None)."""
+    K = np.asarray(traj.kernels)
+    m, dim = K.shape[0], K.shape[-1]
+    logged = {k: v for k in ("det_drift", "symplectic_residual")
+              if (v := getattr(traj, k)) is not None}
+    cols = ["t"] + [f"k{i}{j}_{part}" for i in range(dim) for j in range(dim)
+                    for part in ("re", "im")] + ["det_re", "det_im", *logged]
+    dets = np.linalg.det(K).astype(complex)      # of the kernels as given
+    table = np.column_stack([traj.times, K.astype(complex).reshape(m, -1).view(float),
+                             dets.real, dets.imag, *logged.values()])
+    lines = [f"# kind={traj.kind}", ",".join(cols)]
+    lines += [",".join(map(repr, row)) for row in table.tolist()]
+    return "\n".join(lines) + "\n"
 
 
 def trajectory_from_csv(text: str):
-    """Inverse of trajectory_to_csv; returns (kind, times, kernels)."""
+    """Inverse of trajectory_to_csv; returns (kind, times (m,), kernels
+    (m, d, d))."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("# kind="):
         raise ParseError("trajectory CSV missing '# kind=' header")
@@ -147,10 +137,7 @@ def trajectory_from_csv(text: str):
     header = lines[1].split(",")
     n_entries = sum(1 for c in header if c.startswith("k") and c.endswith("_re"))
     dim = int(round(np.sqrt(n_entries)))
-    times, kernels = [], []
-    for ln in lines[2:]:
-        vals = [float(v) for v in ln.split(",")]
-        times.append(vals[0])
-        flat = np.array(vals[1:1 + 2 * dim * dim])
-        kernels.append((flat[0::2] + 1j * flat[1::2]).reshape(dim, dim))
-    return kind, np.array(times), kernels
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]],
+                    dtype=float).reshape(-1, len(header))
+    flat = rows[:, 1:1 + 2 * dim * dim]
+    return kind, rows[:, 0], (flat[:, 0::2] + 1j * flat[:, 1::2]).reshape(-1, dim, dim)

@@ -1,5 +1,6 @@
 """CLI commands, file formats, and the exit-code contract."""
 
+import io
 import json
 import warnings
 
@@ -93,6 +94,54 @@ def test_state_files_carry_no_convention_key(tmp_path):
     assert form == "G"
 
 
+def trajectory_csv_reference(traj):
+    """The per-row writer trajectory_to_csv replaced: the byte reference."""
+    logs = {k: getattr(traj, k) for k in ("det_drift", "symplectic_residual")
+            if getattr(traj, k) is not None}
+    dim = traj.kernels[0].shape[0]
+    cols = ["t"]
+    for i in range(dim):
+        for j in range(dim):
+            cols += [f"k{i}{j}_re", f"k{i}{j}_im"]
+    cols += ["det_re", "det_im"] + sorted(logs)
+    buf = io.StringIO()
+    buf.write(f"# kind={traj.kind}\n")
+    buf.write(",".join(cols) + "\n")
+    for idx, (t, K) in enumerate(zip(traj.times, traj.kernels)):
+        row = [repr(float(t))]
+        for v in np.asarray(K, dtype=complex).ravel():
+            row += [repr(float(v.real)), repr(float(v.imag))]
+        det = complex(np.linalg.det(K))
+        row += [repr(det.real), repr(det.imag)]
+        row += [repr(float(logs[k][idx])) for k in sorted(logs)]
+        buf.write(",".join(row) + "\n")
+    return buf.getvalue()
+
+
+def test_trajectory_csv_equals_the_per_row_writer():
+    rng = np.random.default_rng(12)
+    st = kernels.make_squeezed_thermal([0.9, 1.4], [0.3, -0.2])
+    A = rng.standard_normal((4, 4))
+    H = A @ A.T + np.eye(4)
+    sigma0, R0 = st.forms["sigma"], kernels.ensure_form(st, "R")
+    times = [float(t) for t in np.linspace(0.0, 1.5, 21)]
+    trajs = {
+        "rk4 covariance": dynamics.integrate_rk4("covariance", sigma0, H, 1.0, 300),
+        "closed normal": dynamics.closed_form_trajectory("normal", R0, H, 0.8, 50),
+        "closed at t = 0": dynamics.closed_form_trajectory("covariance", sigma0, H, 0.0, 5),
+        # a caller-built trajectory: lists, real kernels, no log
+        "list, no log": dynamics.Trajectory(
+            kind="normal", H=H, times=times,
+            kernels=[dynamics.normal_propagate(R0, H, t, "b") for t in times]),
+        "real list": dynamics.Trajectory(
+            kind="covariance", H=H, times=[0.0, 0.5],
+            kernels=[sigma0.real, (2.0 * sigma0).real]),
+    }
+    assert trajs["rk4 covariance"].symplectic_residual is not None
+    for name, traj in trajs.items():
+        assert stateio.trajectory_to_csv(traj) == trajectory_csv_reference(traj), name
+
+
 def test_trajectory_csv_round_trip():
     traj = dynamics.integrate_rk4(
         "normal", -0.5 * np.eye(2)[::-1].astype(complex), np.eye(2), 0.3, 10)
@@ -140,6 +189,14 @@ def test_each_error_class_maps_to_its_exit_code(error, code, monkeypatch, capsys
     monkeypatch.setattr(cli, "cmd_spectrum", handler)
     assert cli.main(["spectrum", "unread.json"]) == code
     assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_parser_is_built_once_and_dispatches_at_call_time(thermal_file, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(args.state) or 0)
+    assert cli.main(["validate", thermal_file]) == 0
+    assert seen == [thermal_file]
 
 
 # ---------------------------------------------------------------------------

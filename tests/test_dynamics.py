@@ -158,8 +158,7 @@ def test_rk4_increment_matches_the_stage_wise_loop(kind, n):
         for X, R in zip(traj.kernels, ref):
             assert np.abs(X - R).max() <= 1e-12 * np.abs(R).max(), steps
         # det_drift is relative to |det X0| already
-        drift = [e["det_drift"] for e in traj.invariants_log]
-        assert np.abs(np.subtract(drift, ref_drift)).max() <= 1e-12, steps
+        assert np.abs(traj.det_drift - ref_drift).max() <= 1e-12, steps
 
 
 def test_rk4_det_drift_on_grown_kernels_stays_within_the_stage_wise_loop():
@@ -172,7 +171,7 @@ def test_rk4_det_drift_on_grown_kernels_stays_within_the_stage_wise_loop():
         H = A @ A.T + np.eye(2)
         ref_drift = rk4_reference("normal", R0, H, 1.0, 1000)[1]
         traj = dynamics.integrate_rk4("normal", R0, H, 1.0, 1000)
-        assert max(e["det_drift"] for e in traj.invariants_log) <= max(ref_drift)
+        assert traj.det_drift.max() <= max(ref_drift)
 
 
 def test_rk4_blow_up_names_the_first_non_finite_step():
@@ -191,12 +190,13 @@ def test_rk4_blow_up_names_the_first_non_finite_step():
 def test_rk4_at_t_zero_is_constant(kind):
     X0, H = rk4_input(kind, 2, np.random.default_rng(95))
     traj = dynamics.integrate_rk4(kind, X0, H, 0.0, 10)
-    assert traj.times == [0.0] * 11
+    np.testing.assert_array_equal(traj.times, np.zeros(11))
     for X in traj.kernels:
         np.testing.assert_array_equal(X, X0)
-    assert all(e["det_drift"] == 0.0 for e in traj.invariants_log)
-    assert all(e.get("symplectic_residual", 0.0) == 0.0
-               for e in traj.invariants_log)
+    np.testing.assert_array_equal(traj.det_drift, np.zeros(11))
+    assert (traj.symplectic_residual is None) == (kind == "normal")
+    if kind == "covariance":
+        np.testing.assert_array_equal(traj.symplectic_residual, np.zeros(11))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -285,3 +285,112 @@ def test_convention_audit_reports_deviations():
     assert set(rep.residuals) == {"a", "b"}
     assert all(np.isfinite(v) for v in rep.residuals.values())
     assert rep.note
+
+
+# ---------------------------------------------------------------------------
+# time stacks: every multi-time closed form from one stacked exponential
+
+def ordering_audit_reference(R0, H, t_end):
+    """The per-time loop ordering_audit replaced: three propagations per
+    sample time; (residuals, consistent variants)."""
+    h = 1e-5 * max(1.0, abs(t_end))
+    ts = np.linspace(t_end / dynamics.AUDIT_SAMPLES, t_end, dynamics.AUDIT_SAMPLES)
+    residuals, consistent = {}, []
+    for variant in ("a", "b"):
+        worst = scale = 0.0
+        for t in ts:
+            Rp = dynamics.normal_propagate(R0, H, t + h, variant)
+            Rm = dynamics.normal_propagate(R0, H, t - h, variant)
+            dR = (Rp - Rm) / (2 * h)
+            rhs = dynamics.normal_rhs(dynamics.normal_propagate(R0, H, t, variant), H)
+            worst = max(worst, float(np.abs(dR - rhs).max()))
+            scale = max(scale, float(np.abs(rhs).max()))
+        residuals[variant] = worst
+        if worst <= dynamics.AUDIT_TOL * max(1.0, scale):
+            consistent.append(variant)
+    return residuals, consistent
+
+
+def convention_audit_reference(state, H, t_end):
+    """The per-time loop convention_audit replaced."""
+    sigma0 = kernels.ensure_form(state, "sigma")
+    R0 = kernels.ensure_form(state, "R")
+    residuals = {"a": 0.0, "b": 0.0}
+    for t in np.linspace(0.0, t_end, dynamics.CONVENTION_SAMPLES):
+        R_from_sigma = kernels.sigma_to_r(dynamics.covariance_propagate(sigma0, H, t))
+        for v in residuals:
+            R_v = dynamics.normal_propagate(R0, H, t, v)
+            residuals[v] = max(residuals[v], float(np.abs(R_v - R_from_sigma).max()))
+    return residuals
+
+
+def audit_inputs():
+    """(state, H, t_end) on 1-3 modes, with a grown kernel and t_end = 0."""
+    rng = np.random.default_rng(98)
+    yield kernels.make_thermal([LN2]), np.array([[0.5, 1.0], [1.0, 0.5]]), 1.0
+    yield kernels.make_thermal([LN2]), np.array([[4.0, 0.5], [0.5, 3.0]]), 1.0
+    yield kernels.make_thermal([LN2]), structured("E", 1), 1.0
+    yield kernels.make_squeezed_thermal([0.9], [0.3]), np.eye(2), 0.0
+    for n in (1, 2, 3):
+        st = kernels.make_squeezed_thermal(list(rng.uniform(0.5, 1.5, n)),
+                                           list(rng.uniform(-0.3, 0.3, n)))
+        yield st, random_symmetric(2 * n, rng, scale=0.6), 0.7 * n
+
+
+def test_ordering_audit_equals_the_per_time_loop():
+    for st, H, t_end in audit_inputs():
+        R0 = kernels.ensure_form(st, "R")
+        rep = dynamics.ordering_audit(R0, H, t_end)
+        residuals, consistent = ordering_audit_reference(R0, H, t_end)
+        assert rep.residuals == residuals
+        assert rep.consistent_variants == consistent
+
+
+def test_convention_audit_equals_the_per_time_loop():
+    for st, H, t_end in audit_inputs():
+        rep = dynamics.convention_audit(st, H, t_end)
+        assert rep.residuals == convention_audit_reference(st, H, t_end)
+
+
+@pytest.mark.parametrize("flow", ["a", "b", "covariance"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_closed_form_trajectory_equals_per_time_propagation(flow, n):
+    kind, variant = ("covariance", "b") if flow == "covariance" else ("normal", flow)
+    X0, H = rk4_input(kind, n, np.random.default_rng([99, n]))
+    # 301 times span three passes of matcore.RESIDUAL_CHUNK
+    for t_end, steps in ((1.3, 300), (0.4, 1), (0.0, 10)):
+        traj = dynamics.closed_form_trajectory(kind, X0, H, t_end, steps, variant)
+        m = steps + 1 if t_end > 0 else 1
+        assert traj.times.shape == (m,) and traj.kernels.shape == (m, 2 * n, 2 * n)
+        if kind == "covariance":
+            per_time = [dynamics.covariance_propagate(X0, H, t) for t in traj.times]
+            assert traj.symplectic_residual.tolist() == [
+                matcore.symplectic_residual(dynamics.covariance_propagator(H, t).left)
+                for t in traj.times]
+        else:
+            per_time = [dynamics.normal_propagate(X0, H, t, variant)
+                        for t in traj.times]
+            assert traj.symplectic_residual is None
+        assert np.array_equal(traj.kernels, per_time)
+        dets = [complex(np.linalg.det(X)) for X in per_time]
+        assert traj.det_drift.tolist() == [
+            abs(d - dets[0]) / max(abs(dets[0]), 1e-300) for d in dets]
+
+
+def test_each_flow_takes_one_stacked_exponential(monkeypatch):
+    calls = []
+
+    def counted(M):
+        calls.append(np.shape(M))
+        return expm(M)
+    monkeypatch.setattr(matcore, "mat_exp", counted)
+    st = kernels.make_squeezed_thermal([0.9], [0.3])
+    H = np.array([[0.5, 1.0], [1.0, 0.5]])
+    dynamics.closed_form_trajectory("covariance", st.forms["sigma"], H, 1.0, 1000)
+    assert calls == [(1001, 2, 2)]
+    calls.clear()
+    dynamics.ordering_audit(kernels.ensure_form(st, "R"), H, 1.0)
+    assert calls == [(3 * dynamics.AUDIT_SAMPLES, 2, 2)] * 2
+    calls.clear()
+    dynamics.convention_audit(st, H, 1.0)
+    assert calls == [(dynamics.CONVENTION_SAMPLES, 2, 2)] * 3

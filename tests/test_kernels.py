@@ -83,6 +83,14 @@ def test_sigma_to_g_rejects_vacuum_boundary():
         kernels.sigma_to_g(np.eye(2))
 
 
+def test_sigma_to_g_domain_guard_just_inside_and_outside():
+    # thermal sigma = nu I; the guard refuses |nu| <= 1 + 1e-10
+    G = kernels.sigma_to_g((1 + 1e-9) * np.eye(2))
+    assert np.all(np.isfinite(G)) and G[0, 0].real > 0
+    with pytest.raises(DomainError):
+        kernels.sigma_to_g((1 + 1e-11) * np.eye(2))
+
+
 # ---------------------------------------------------------------------------
 # spectra
 

@@ -56,6 +56,40 @@ def test_mat_exp_matches_series():
     np.testing.assert_allclose(matcore.mat_exp(M), series, atol=1e-13)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mat_exp_of_a_stack_equals_each_matrix(n):
+    rng = np.random.default_rng([4, n])
+    J = structured("J", n)
+    for B in (J @ random_symmetric(2 * n, rng), -1j * random_symmetric(2 * n, rng) @ J):
+        M = np.multiply.outer(np.linspace(-1.0, 3.0, 101), B)
+        stacked = matcore.mat_exp(M)
+        assert stacked.shape == M.shape
+        assert np.array_equal(stacked, [matcore.mat_exp(Mk) for Mk in M])
+
+
+def test_mat_exp_stack_fails_if_any_member_fails():
+    M = np.zeros((5, 2, 2))
+    M[3, 0, 1] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        matcore.mat_exp(M)
+    M[3] = [[800.0, 0.0], [0.0, 0.0]]          # e^800 overflows
+    with pytest.raises(NumericalError, match="overflowed"), \
+            np.errstate(over="ignore"):
+        matcore.mat_exp(M)
+
+
+def test_only_mat_exp_takes_a_stack():
+    stack = np.array([np.eye(2), 2 * np.eye(2)])
+    with pytest.raises(ValueError, match="square"):
+        matcore.mat_exp(np.zeros((2, 2, 2, 2)))
+    with pytest.raises(ValueError, match="square"):
+        matcore.mat_exp(np.zeros((3, 2, 3)))
+    for f in (matcore.determinant, matcore.eig_decomp, matcore.inverse,
+              matcore.symplectic_residual):
+        with pytest.raises(ValueError, match="square"):
+            f(stack)
+
+
 def test_mat_analytic_scalar_consistency():
     M = np.diag([0.5, 1.5, -0.3])
     out = matcore.mat_analytic(M, np.exp)
@@ -100,6 +134,15 @@ def test_dense_solve_stack_refuses_ill_conditioned():
         matcore.dense_solve(M, np.ones((3, 2, 1)))
 
 
+def test_dense_solve_condition_guard_just_inside_and_outside():
+    inside = np.diag([1.0, 1.0 / (0.5 * matcore.COND_LIMIT)])
+    np.testing.assert_allclose(matcore.dense_solve(inside, np.ones(2)),
+                               [1.0, 0.5 * matcore.COND_LIMIT])
+    outside = np.diag([1.0, 1.0 / (2.0 * matcore.COND_LIMIT)])
+    with pytest.raises(NumericalError, match="condition"):
+        matcore.dense_solve(outside, np.ones(2))
+
+
 def test_non_finite_input_rejected():
     M = np.array([[1.0, np.inf], [0.0, 1.0]])
     with pytest.raises(NumericalError):
@@ -127,3 +170,10 @@ def test_stacked_symplectic_residuals_match_each_matrix():
         stacked = matcore.symplectic_residuals(S)
         np.testing.assert_array_equal(stacked, expected)
         assert [matcore.symplectic_residual(M) for M in S] == list(stacked)
+    # a stack longer than one pass of RESIDUAL_CHUNK matrices
+    m = 2 * matcore.RESIDUAL_CHUNK + 3
+    S = np.array([random_symplectic(2, rng, scale=0.5) for _ in range(m)])
+    S[::7] += 1e-6 * rng.standard_normal(S[::7].shape)
+    stacked = matcore.symplectic_residuals(S)
+    assert stacked.shape == (m,)
+    assert [matcore.symplectic_residual(M) for M in S] == list(stacked)

@@ -298,3 +298,21 @@ def test_q_norm_calibrated_divergent_raises_before_the_estimate():
         phasespace.q_norm_check(st, kernels.CALIBRATED)
     assert "trace integrand does not decay" in str(err.value)
     assert "finite-box estimate" not in str(err.value)
+
+
+@pytest.mark.parametrize("convention", [kernels.CALIBRATED, kernels.AS_PUBLISHED])
+def test_q_norm_check_resolves_the_kernel_once(convention, monkeypatch):
+    calls = []
+
+    def counted(R, conv):
+        calls.append(conv)
+        return resolve(R, conv)
+    resolve = kernels.resolve_convention
+    monkeypatch.setattr(kernels, "resolve_convention", counted)
+    st = kernels.make_squeezed_thermal([0.9], [0.3])
+    if convention == kernels.CALIBRATED:
+        phasespace.q_norm_check(st, convention)
+    else:
+        with pytest.raises(DomainError):
+            phasespace.q_norm_check(st, convention)
+    assert calls == [convention]
