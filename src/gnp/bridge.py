@@ -1,12 +1,10 @@
-"""Empirical calibration of the published-vs-physical convention bridge.
+"""The two conventions of the normal-product kernel and their calibration.
 
-The published kernel algebra and the physical Fock-space construction can
-disagree by a basis-reflection of the normal-product kernel and by the
-choice of normalization prefactor.  Rather than hard-coding a resolution,
-this module measures it: each candidate kernel map and prefactor rule is
-scored against the Fock oracle on a small suite of thermal and
-squeezed-thermal states, and the calibrated convention is whatever survives.
-
+Each convention is one row of CONVENTIONS.  "as-published" evaluates the
+literal kernel with sqrt(det R) and the printed Gaussian-integral sign;
+"calibrated" is measured: each kernel map (R_MAPS) and prefactor rule
+(PREFACTOR_RULES) is scored against the Fock oracle on a small suite of
+thermal and squeezed-thermal states, and whatever survives is the bridge.
 Candidate maps that produce identical bridged kernels on every suite member
 cannot be distinguished by any measurement, so they are collapsed into a
 single equivalence class before the uniqueness check.
@@ -15,21 +13,95 @@ single equivalence class before the uniqueness check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from . import matcore
 from .errors import NumericalError
 from .kernels import (
-    ConventionBridge,
-    PREFACTOR_RULES,
-    R_MAP_HYPOTHESES,
-    apply_r_map,
+    AS_PUBLISHED,
+    CALIBRATED,
     ensure_form,
     make_squeezed_thermal,
     make_thermal,
-    prefactor_by_rule,
+    trace_of_normal_exponential,
 )
 from .fockoracle import PhysicalSpec, gaussian_density, q_of_rho, r_from_q_hessian
+from .matcore import structured
+
+
+def _conjugate(kind: str, R) -> np.ndarray:
+    M = structured(kind, R.shape[0] // 2)
+    return M @ R @ M
+
+
+# name -> map of a complex normal-product kernel
+R_MAPS = {
+    "identity": np.copy,
+    "negate": np.negative,
+    "conjugate-by-E": lambda R: _conjugate("E", R),
+    "conjugate-by-Omega": lambda R: _conjugate("Omega", R),
+    "negate-conjugate-by-E": lambda R: -_conjugate("E", R),
+}
+
+# name -> prefactor of a (mapped) complex kernel
+PREFACTOR_RULES = {
+    "sqrt-det-R": lambda R: complex(np.sqrt(matcore.determinant(R))),
+    "sqrt-det-ER": lambda R: complex(np.sqrt(matcore.determinant(
+        structured("E", R.shape[0] // 2) @ R))),
+    "trace-normalized": lambda R: complex(1.0 / trace_of_normal_exponential(R)),
+}
+
+
+def apply_r_map(R, name: str) -> np.ndarray:
+    """Apply one of the kernel-map hypotheses to a normal-product kernel."""
+    if name not in R_MAPS:
+        raise ValueError(f"unknown bridge map {name!r}")
+    return R_MAPS[name](np.asarray(R, dtype=complex))
+
+
+@dataclass(frozen=True)
+class ConventionBridge:
+    """Calibrated map from as-published kernels to physical ones."""
+
+    r_map: str
+    prefactor_rule: str
+    residual: float
+
+
+class Convention(NamedTuple):
+    r_map: str
+    prefactor_rule: str
+    integral_sign: float      # exponent sign of the coherent-state Gaussian integral
+
+
+# calibrated: the bridge that calibrate() selects and the integral sign that
+# agrees with quadrature
+CONVENTIONS = {
+    AS_PUBLISHED: Convention("identity", "sqrt-det-R", -1.0),
+    CALIBRATED: Convention("negate", "trace-normalized", +1.0),
+}
+
+
+def convention(name: str) -> Convention:
+    if name not in CONVENTIONS:
+        raise ValueError(f"unknown convention {name!r}")
+    return CONVENTIONS[name]
+
+
+def resolve_convention(R, name: str) -> tuple[complex, np.ndarray]:
+    """(prefactor, mapped R): the kernel under a convention's map, and the
+    convention's prefactor rule evaluated on the mapped kernel."""
+    row = convention(name)
+    R = apply_r_map(R, row.r_map)
+    if abs(matcore.determinant(R)) < 1e-300:
+        raise NumericalError("singular R: det R = 0")
+    return PREFACTOR_RULES[row.prefactor_rule](R), R
+
+
+# ---------------------------------------------------------------------------
+# calibration against the Fock oracle
 
 DEFAULT_CUTOFF = 40
 DEGENERACY_TOL = 1e-12
@@ -84,12 +156,11 @@ class CalibrationReport:
 
 def _degeneracy_groups(published_Rs):
     """Group kernel maps whose bridged kernels agree on the whole suite."""
-    names = list(R_MAP_HYPOTHESES)
     mapped = {
-        name: [apply_r_map(R, name) for R in published_Rs] for name in names
+        name: [apply_r_map(R, name) for R in published_Rs] for name in R_MAPS
     }
     groups = []
-    for name in names:
+    for name in mapped:
         for group in groups:
             rep = group[0]
             if all(np.abs(a - b).max() <= DEGENERACY_TOL
@@ -117,7 +188,7 @@ def calibrate(cutoff: int = DEFAULT_CUTOFF) -> CalibrationReport:
         physical_Rs.append(r_from_q_hessian(rho))
         q_origins.append(q_of_rho(rho, 0.0))
 
-    for name in R_MAP_HYPOTHESES:
+    for name in R_MAPS:
         res = max(
             np.abs(apply_r_map(Rp, name) - Rf).max()
             for Rp, Rf in zip(published_Rs, physical_Rs)
@@ -141,7 +212,7 @@ def calibrate(cutoff: int = DEFAULT_CUTOFF) -> CalibrationReport:
 
     for rule in PREFACTOR_RULES:
         res = max(
-            abs(prefactor_by_rule(apply_r_map(Rp, r_map), rule) - q0)
+            abs(PREFACTOR_RULES[rule](apply_r_map(Rp, r_map)) - q0)
             for Rp, q0 in zip(published_Rs, q_origins)
         )
         report.prefactor_residuals[rule] = float(res)

@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn", default="q", choices=tuple(_FN_NAMES))
     p.add_argument("--grid", default="-2:2:41")
     p.add_argument("--convention", default=kernels.CALIBRATED,
-                   choices=tuple(kernels._CONVENTIONS))
+                   choices=tuple(bridge.CONVENTIONS))
     p.add_argument("--check-norm", action="store_true")
     p.add_argument("-o", "--output", required=True)
 

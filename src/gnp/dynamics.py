@@ -187,9 +187,6 @@ def integrate_rk4(kind: str, X0, H, t_end: float, steps: int) -> Trajectory:
             dx = D @ x[k] - c
             x[k + 1] = x[k] + dx
             c = (x[k + 1] - x[k]) - dx
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        raise NumericalError(f"non-finite kernel at step {int(np.argmin(finite))}")
     S = None
     if kind == "covariance":
         S = np.empty((steps + 1, d, d), dtype=complex)
@@ -204,19 +201,26 @@ def integrate_rk4(kind: str, X0, H, t_end: float, steps: int) -> Trajectory:
 def closed_form_trajectory(kind: str, X0, H, t_end: float, steps: int,
                            variant: str = "b") -> Trajectory:
     """Closed-form flow logged like integrate_rk4 at max(2, steps + 1) equally
-    spaced times, or at t = 0 alone when t_end = 0; `variant`: normal flow."""
+    spaced times, or at t = 0 alone when t_end = 0; `variant`: normal flow.
+    Raises NumericalError naming the first step with a non-finite kernel."""
     flow = _flow_of(kind, variant)
     times = np.linspace(0.0, t_end, max(2, steps + 1)) \
         if t_end > 0 else np.array([0.0])
     S = _propagators(flow, H, times)
-    return _logged(kind, H, times, _apply(S, X0),
-                   S if kind == "covariance" else None)
+    # a finite S can still overflow S X0 S^T; _logged names the first such time
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = _apply(S, X0)
+    return _logged(kind, H, times, X, S if kind == "covariance" else None)
 
 
 def _logged(kind: str, H, times, X: np.ndarray, S) -> Trajectory:
     """Trajectory of the kernel stack X (m, d, d) at `times`, logging each
     kernel's det drift from X[0] and, given the covariance propagators S
-    (m, d, d) to each time, their symplectic residuals."""
+    (m, d, d) to each time, their symplectic residuals.  Raises
+    NumericalError naming the first step with a non-finite kernel."""
+    finite = np.isfinite(X).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(f"non-finite kernel at step {int(np.argmin(finite))}")
     dets = np.linalg.det(X)
     diff = dets - dets[0]
     # hypot, not np.abs: it rounds |z| as Python's abs(complex) does

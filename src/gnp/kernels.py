@@ -7,10 +7,10 @@ Conversions among the four 2n x 2n kernels of a zero-mean Gaussian state:
   R      normal-product kernel,
   C      characteristic-function kernel,
 
-together with symplectic spectra, state constructors and normalization
-prefactors.  Every formula is available exactly "as-published"; a separate
-calibrated layer applies the empirically determined convention bridge
-(see gnp.bridge for the calibration itself).
+together with symplectic spectra, state constructors, state validation and
+the trace of a normal-ordered Gaussian.  Every formula here is the
+published one; the two conventions under which a normal-product kernel is
+evaluated, and the calibration that chose the second, live in gnp.bridge.
 
 Operator-vector ordering throughout: A = (a_1..a_n, a_1^+..a_n^+)^T.
 """
@@ -18,7 +18,7 @@ Operator-vector ordering throughout: A = (a_1..a_n, a_1^+..a_n^+)^T.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, NamedTuple
+from typing import Dict
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .matcore import structured
 
 AS_PUBLISHED = "as-published"
 CALIBRATED = "calibrated"
-OPERATOR_ORDERING = "A = (a_1..a_n, a_1^+..a_n^+)^T"
 
 TOL_CONV = 1e-9      # cross-form consistency tolerance
 FORMS = ("G", "sigma", "R", "C")
@@ -65,22 +64,6 @@ class SymplecticSpectrum:
 
     omegas: np.ndarray
     nus: np.ndarray
-
-
-@dataclass(frozen=True)
-class ConventionBridge:
-    """Empirically calibrated map from as-published kernels to physical ones."""
-
-    r_map: str
-    prefactor_rule: str
-    residual: float
-
-
-@dataclass(frozen=True)
-class Prefactor:
-    value: complex
-    rule: str
-    is_real: bool
 
 
 # ---------------------------------------------------------------------------
@@ -371,63 +354,7 @@ def make_squeezed_thermal(omegas, rs) -> GaussianState:
 
 
 # ---------------------------------------------------------------------------
-# convention bridge and prefactors
-
-def apply_r_map(R, r_map: str) -> np.ndarray:
-    """Apply one of the fixed bridge hypotheses to a normal-product kernel."""
-    R = np.asarray(R, dtype=complex)
-    n = R.shape[0] // 2
-    E = structured("E", n)
-    Om = structured("Omega", n)
-    if r_map == "identity":
-        return R.copy()
-    if r_map == "negate":
-        return -R
-    if r_map == "conjugate-by-E":
-        return E @ R @ E
-    if r_map == "conjugate-by-Omega":
-        return Om @ R @ Om
-    if r_map == "negate-conjugate-by-E":
-        return -(E @ R @ E)
-    raise ValueError(f"unknown bridge map {r_map!r}")
-
-
-R_MAP_HYPOTHESES = (
-    "identity",
-    "negate",
-    "conjugate-by-E",
-    "conjugate-by-Omega",
-    "negate-conjugate-by-E",
-)
-
-PREFACTOR_RULES = ("sqrt-det-R", "sqrt-det-ER", "trace-normalized")
-
-# Calibrated against the Fock oracle (gnp.bridge.calibrate); the residual is
-# the max kernel deviation over the calibration suite at cutoff 40.
-DEFAULT_BRIDGE = ConventionBridge(
-    r_map="negate", prefactor_rule="trace-normalized", residual=2.755e-10
-)
-
-
-class _Convention(NamedTuple):
-    r_map: str
-    prefactor_rule: str
-    integral_sign: float      # exponent sign of the coherent-state Gaussian integral
-
-
-# one entry per convention; calibrated is the measured bridge and the
-# integral sign that agrees with quadrature
-_CONVENTIONS = {
-    AS_PUBLISHED: _Convention("identity", "sqrt-det-R", -1.0),
-    CALIBRATED: _Convention(DEFAULT_BRIDGE.r_map, DEFAULT_BRIDGE.prefactor_rule, +1.0),
-}
-
-
-def _convention(convention: str) -> _Convention:
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    return _CONVENTIONS[convention]
-
+# trace of a normal-ordered Gaussian
 
 def _husimi_real_form(R) -> np.ndarray:
     """Real 2n x 2n quadratic form of Re[(1/2) Z^T R Z] in (x, y) coordinates."""
@@ -457,36 +384,3 @@ def trace_of_normal_exponential(R) -> float:
     val = complex(np.sqrt(det)) ** -1
     return float(val.real)
 
-
-def prefactor(R, mode: str = AS_PUBLISHED) -> Prefactor:
-    """Normalization prefactor of the normal-product density form.
-
-    as-published: principal sqrt(det R); non-real values are flagged.
-    calibrated: trace-normalizing constant N with N Tr(:exp(-A^T R A / 2):) = 1.
-    """
-    rule = _convention(mode).prefactor_rule
-    if abs(matcore.determinant(R)) < 1e-300:
-        raise NumericalError("singular R: det R = 0")
-    value = prefactor_by_rule(R, rule)
-    is_real = abs(value.imag) <= 1e-12 * max(abs(value), 1.0)
-    return Prefactor(value=value, rule=rule, is_real=is_real)
-
-
-def resolve_convention(R, convention: str) -> tuple[complex, np.ndarray]:
-    """(prefactor, mapped R): the normal-product kernel under a convention's
-    bridge map, and the prefactor of the mapped kernel."""
-    R = apply_r_map(R, _convention(convention).r_map)
-    return prefactor(R, convention).value, R
-
-
-def prefactor_by_rule(R, rule: str) -> complex:
-    """Evaluate one of the fixed prefactor hypotheses on a kernel."""
-    R = np.asarray(R, dtype=complex)
-    n = R.shape[0] // 2
-    if rule == "sqrt-det-R":
-        return complex(np.sqrt(matcore.determinant(R)))
-    if rule == "sqrt-det-ER":
-        return complex(np.sqrt(matcore.determinant(structured("E", n) @ R)))
-    if rule == "trace-normalized":
-        return complex(1.0 / trace_of_normal_exponential(R))
-    raise ValueError(f"unknown prefactor rule {rule!r}")

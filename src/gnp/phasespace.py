@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from . import kernels, matcore
+from . import bridge, kernels, matcore
 from .errors import DomainError
 from .kernels import AS_PUBLISHED, CALIBRATED, GaussianState
 from .matcore import structured
@@ -108,7 +108,7 @@ def _evaluate(state: GaussianState, function_kind: str, Zs,
     The state's kernel and prefactor are resolved once for all rows.
     """
     if function_kind == "husimi":
-        return _husimi(*kernels.resolve_convention(
+        return _husimi(*bridge.resolve_convention(
             kernels.ensure_form(state, "R"), convention), Zs)
     # stacked (1, 2n) @ (2n, 2n) @ (2n, 1) products repeat the arithmetic of
     # the 1-D product Z @ M @ Z bit for bit; einsum does not
@@ -171,7 +171,7 @@ def gauss_integral(V, X, convention: str = CALIBRATED) -> complex:
     the two diagonal n x n blocks of V agree, which is the class the closed
     form is exact for (all state-derived kernels C + I/2 are in it).
     """
-    sign = kernels._convention(convention).integral_sign
+    sign = bridge.convention(convention).integral_sign
     V = np.asarray(V, dtype=complex)
     X = np.asarray(X, dtype=complex)
     n = V.shape[0] // 2
@@ -219,7 +219,7 @@ def q_norm_check(state: GaussianState, convention: str = CALIBRATED) -> float:
                     im_range=(-radius, radius, QUAD_POINTS))
     xs, _ = box.axes()
     dx = xs[1] - xs[0]
-    N, R = kernels.resolve_convention(kernels.ensure_form(state, "R"), convention)
+    N, R = bridge.resolve_convention(kernels.ensure_form(state, "R"), convention)
     values = _husimi(N, R, _z_stack(box.points()[:, None]))
     integral = complex(np.sum(values) * dx * dx / np.pi)
     if np.linalg.eigvalsh(kernels._husimi_real_form(R)).min() <= 0:

@@ -127,17 +127,34 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_row(line: str, width: int) -> list:
+    # one row at a time: the split strings of a whole file would be held at once
+    fields = line.split(",")
+    if len(fields) != width:
+        raise ParseError(f"trajectory CSV row has {len(fields)} fields, "
+                         f"its header {width}")
+    return [float(v) for v in fields]
+
+
 def trajectory_from_csv(text: str):
     """Inverse of trajectory_to_csv; returns (kind, times (m,), kernels
-    (m, d, d))."""
+    (m, d, d)).  Raises ParseError on malformed text."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("# kind="):
         raise ParseError("trajectory CSV missing '# kind=' header")
+    if len(lines) < 2:
+        raise ParseError("trajectory CSV missing its column header")
     kind = lines[0].split("=", 1)[1]
     header = lines[1].split(",")
     n_entries = sum(1 for c in header if c.startswith("k") and c.endswith("_re"))
     dim = int(round(np.sqrt(n_entries)))
-    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]],
-                    dtype=float).reshape(-1, len(header))
+    if dim == 0 or dim * dim != n_entries:
+        raise ParseError(f"trajectory CSV header has {n_entries} kernel entries, "
+                         "not a nonzero square")
+    try:
+        rows = np.array([_csv_row(ln, len(header)) for ln in lines[2:]],
+                        dtype=float).reshape(-1, len(header))
+    except ValueError as exc:
+        raise ParseError(f"trajectory CSV: {exc}") from exc
     flat = rows[:, 1:1 + 2 * dim * dim]
     return kind, rows[:, 0], (flat[:, 0::2] + 1j * flat[:, 1::2]).reshape(-1, dim, dim)

@@ -1,8 +1,11 @@
 """Convention-bridge calibration against the Fock oracle."""
 
+import numpy as np
 import pytest
 
 from gnp import bridge, kernels
+from gnp.errors import NumericalError
+from gnp.matcore import structured
 
 
 def test_suite_composition():
@@ -41,9 +44,52 @@ def test_degenerate_maps_are_collapsed(report):
     assert len(winners) == 1
 
 
+def test_apply_r_map_table():
+    rng = np.random.default_rng(5)
+    R = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    E = structured("E", 2)
+    Om = structured("Omega", 2)
+    np.testing.assert_array_equal(bridge.apply_r_map(R, "identity"), R)
+    np.testing.assert_array_equal(bridge.apply_r_map(R, "negate"), -R)
+    np.testing.assert_array_equal(bridge.apply_r_map(R, "conjugate-by-E"),
+                                  E @ R @ E)
+    np.testing.assert_array_equal(bridge.apply_r_map(R, "conjugate-by-Omega"),
+                                  Om @ R @ Om)
+    np.testing.assert_array_equal(
+        bridge.apply_r_map(R, "negate-conjugate-by-E"), -(E @ R @ E))
+    with pytest.raises(ValueError):
+        bridge.apply_r_map(R, "transpose")
+
+
 def test_default_bridge_matches_calibration(report):
-    assert kernels.DEFAULT_BRIDGE.r_map == report.selected.r_map
-    assert kernels.DEFAULT_BRIDGE.prefactor_rule == report.selected.prefactor_rule
+    row = bridge.convention(kernels.CALIBRATED)
+    assert row.r_map == report.selected.r_map
+    assert row.prefactor_rule == report.selected.prefactor_rule
+    # the calibrated row resolves every kernel exactly as the selected map
+    # and rule do when applied through the hypothesis tables
+    rng = np.random.default_rng(8)
+    noise = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    Rs = [kernels.ensure_form(state, "R") for _, state, _ in bridge.calibration_suite()]
+    Rs.append(Rs[0] + 0.05 * (noise + noise.T))
+    for R in Rs:
+        N, mapped = bridge.resolve_convention(R, kernels.CALIBRATED)
+        expected = bridge.R_MAPS[report.selected.r_map](R)
+        np.testing.assert_array_equal(mapped, expected)
+        assert N == bridge.PREFACTOR_RULES[report.selected.prefactor_rule](expected)
+
+
+def test_resolve_convention_checks_the_name_before_det_r():
+    singular = np.zeros((2, 2), dtype=complex)
+    with pytest.raises(ValueError):
+        bridge.resolve_convention(singular, "bogus")
+    for name in bridge.CONVENTIONS:
+        with pytest.raises(NumericalError, match="det R = 0"):
+            bridge.resolve_convention(singular, name)
+
+
+def test_convention_table_has_the_two_rows_in_order():
+    # gnp phase --convention lists its choices in this order
+    assert tuple(bridge.CONVENTIONS) == (kernels.AS_PUBLISHED, kernels.CALIBRATED)
 
 
 def test_report_lines_are_printable(report):

@@ -152,6 +152,24 @@ def test_trajectory_csv_round_trip():
     np.testing.assert_array_equal(kernels_back[-1], traj.kernels[-1])
 
 
+_GOOD_CSV = stateio.trajectory_to_csv(dynamics.closed_form_trajectory(
+    "normal", -0.5 * np.eye(2)[::-1].astype(complex), np.eye(2), 0.3, 2))
+
+
+@pytest.mark.parametrize("text", [
+    _GOOD_CSV.splitlines()[0] + "\n",                         # header only
+    _GOOD_CSV.rsplit(",", 1)[0] + "\n",                      # short row
+    _GOOD_CSV.replace("0.0,", "zero,", 1),                   # non-float field
+    "# kind=normal\nt,det_re,det_im\n0.0,1.0,0.0\n",        # no kernel columns
+    # two half-width rows hold as many fields as one full row
+    "# kind=normal\nt,k00_re,k00_im,det_re\n0.0,1.0\n0.0,1.0\n",
+], ids=["header-only", "short-row", "non-float", "no-kernel-columns",
+        "half-width-rows"])
+def test_trajectory_from_csv_rejects_malformed_text(text):
+    with pytest.raises(ParseError):
+        stateio.trajectory_from_csv(text)
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract
 
@@ -274,6 +292,20 @@ def test_evolve_t_zero_single_row(thermal_file, tmp_path, capsys):
     kind, times, ks = stateio.trajectory_from_csv(traj_file.read_text())
     assert len(times) == 1 and times[0] == 0.0
     np.testing.assert_allclose(ks[0], -0.5 * np.eye(2)[::-1], atol=1e-15)
+
+
+def test_evolve_closed_overflow_exits_2_without_a_csv(tmp_path, capsys):
+    r_file = tmp_path / "r.json"
+    stateio.write_state(r_file, kernels.GaussianState(1, {"R": kernels.ensure_form(
+        kernels.make_thermal([1.3]), "R")}), "R")
+    h_file = tmp_path / "h.json"
+    stateio.write_hamiltonian(h_file, dynamics.QuadraticHamiltonian(
+        1, np.array([[4.0, 0.5], [0.5, 3.0]])))
+    traj_file = tmp_path / "traj.csv"
+    assert cli.main(["evolve", str(r_file), "--ham", str(h_file), "--t", "200",
+                     "-o", str(traj_file)]) == 2
+    assert "non-finite kernel at step 52" in capsys.readouterr().err
+    assert not traj_file.exists()
 
 
 def test_evolve_rk4_matches_closed(thermal_file, tmp_path, capsys):

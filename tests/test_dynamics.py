@@ -186,6 +186,25 @@ def test_rk4_blow_up_names_the_first_non_finite_step():
     assert str(new.value) == str(ref.value)
 
 
+# thermal R (omega = 1.3) under this H: S = exp(Bt) stays finite to t = 200,
+# but S R0 S^T overflows part way
+OVERFLOW_H = np.array([[4.0, 0.5], [0.5, 3.0]])
+
+
+def test_closed_form_overflow_names_the_first_non_finite_step():
+    R0 = kernels.ensure_form(kernels.make_thermal([1.3]), "R")
+    with pytest.raises(matcore.NumericalError) as err:
+        dynamics.closed_form_trajectory("normal", R0, OVERFLOW_H, 200.0, 100)
+    assert str(err.value) == "non-finite kernel at step 52"
+
+
+def test_rk4_overflow_message_is_unchanged():
+    R0 = kernels.ensure_form(kernels.make_thermal([1.3]), "R")
+    with pytest.raises(matcore.NumericalError) as err:
+        dynamics.integrate_rk4("normal", R0, OVERFLOW_H, 200.0, 100)
+    assert str(err.value) == "non-finite kernel at step 94"
+
+
 @pytest.mark.parametrize("kind", ["normal", "covariance"])
 def test_rk4_at_t_zero_is_constant(kind):
     X0, H = rk4_input(kind, 2, np.random.default_rng(95))

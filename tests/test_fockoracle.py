@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnp import fockoracle as fo
+from gnp import fockoracle as fo, kernels
 from gnp.errors import TruncationError
 from gnp.matcore import structured
 
@@ -85,8 +85,9 @@ def test_kron_terms_equal_dense_products(n_modes, cutoff):
                               dense_quad_operator(M, cutoff))
 
 
-def test_oracle_imports_nothing_from_kernels():
-    tree = ast.parse(Path(fo.__file__).read_text())
+def _imported_names(module):
+    """Every module and module.name a gnp module imports, as absolute names."""
+    tree = ast.parse(Path(module.__file__).read_text())
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -97,8 +98,23 @@ def test_oracle_imports_nothing_from_kernels():
                 base = "gnp" + (f".{base}" if base else "")
             names.add(base)
             names.update(f"{base}.{alias.name}" for alias in node.names)
-    assert not any(name == "gnp.kernels" or name.startswith("gnp.kernels.")
-                   for name in names), sorted(names)
+    return names
+
+
+def _imports_from(names, module):
+    return any(name == module or name.startswith(module + ".") for name in names)
+
+
+def test_oracle_imports_nothing_from_kernels():
+    names = _imported_names(fo)
+    assert not _imports_from(names, "gnp.kernels"), sorted(names)
+
+
+def test_kernels_imports_nothing_from_the_layers_above():
+    # bridge, phasespace, dynamics, stateio and cli all build on kernels
+    names = _imported_names(kernels)
+    assert {name.split(".")[1] for name in names if name.startswith("gnp.")} \
+        <= {"matcore", "errors"}, sorted(names)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gnp import kernels
+from gnp import bridge, kernels
 from gnp.errors import DomainError
 from gnp.matcore import structured
 
@@ -156,36 +156,22 @@ def test_validate_catches_inconsistent_pair():
 
 
 # ---------------------------------------------------------------------------
-# bridge maps and prefactors
-
-def test_apply_r_map_table():
-    rng = np.random.default_rng(5)
-    R = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    E = structured("E", 2)
-    np.testing.assert_array_equal(kernels.apply_r_map(R, "identity"), R)
-    np.testing.assert_array_equal(kernels.apply_r_map(R, "negate"), -R)
-    np.testing.assert_array_equal(kernels.apply_r_map(R, "conjugate-by-E"),
-                                  E @ R @ E)
-    np.testing.assert_array_equal(
-        kernels.apply_r_map(R, "negate-conjugate-by-E"), -(E @ R @ E))
-    with pytest.raises(ValueError):
-        kernels.apply_r_map(R, "transpose")
-
+# prefactors
 
 def test_prefactor_as_published_flags_imaginary():
     # det(-0.5 E) = -0.25, so the printed sqrt(det R) is imaginary
     E = structured("E", 1)
-    p = kernels.prefactor(-0.5 * E, kernels.AS_PUBLISHED)
-    assert not p.is_real
-    assert abs(p.value - 0.5j) < 1e-12 or abs(p.value + 0.5j) < 1e-12
+    N, _ = bridge.resolve_convention(-0.5 * E, kernels.AS_PUBLISHED)
+    assert abs(N - 0.5j) < 1e-12 or abs(N + 0.5j) < 1e-12
 
 
 def test_prefactor_calibrated_normalizes():
     E = structured("E", 1)
     assert abs(kernels.trace_of_normal_exponential(0.5 * E) - 2.0) < 1e-12
-    p = kernels.prefactor(0.5 * E, kernels.CALIBRATED)
-    assert p.is_real
-    assert abs(p.value - 0.5) < 1e-12
+    # the calibrated map negates -0.5 E to 0.5 E before its prefactor rule
+    N, R = bridge.resolve_convention(-0.5 * E, kernels.CALIBRATED)
+    np.testing.assert_array_equal(R, 0.5 * E)
+    assert abs(N - 0.5) < 1e-12
 
 
 def test_trace_of_normal_exponential_rejects_growth():

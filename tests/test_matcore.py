@@ -45,6 +45,23 @@ def test_eig_decomp_refuses_defective_matrix():
         matcore.eig_decomp(M)
 
 
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_eig_decomp_residual_guard_just_inside_and_outside(factor, monkeypatch):
+    # eigenvalues scaled by (1 + delta) reconstruct diag(1, 2) with relative
+    # residual delta
+    delta = factor * matcore.TOL_EIG
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig",
+                        lambda M: (eig(M)[0] * (1 + delta), eig(M)[1]))
+    M = np.diag([1.0, 2.0])
+    if factor < 1:
+        np.testing.assert_allclose(matcore.eig_decomp(M).values,
+                                   [1.0 + delta, 2.0 + 2.0 * delta])
+    else:
+        with pytest.raises(NumericalError, match="residual 2.000e-09"):
+            matcore.eig_decomp(M)
+
+
 def test_mat_exp_matches_series():
     rng = np.random.default_rng(3)
     M = rng.standard_normal((4, 4)) * 0.2

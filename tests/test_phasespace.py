@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from gnp import kernels, matcore, phasespace
+from gnp import bridge, kernels, matcore, phasespace
 from gnp.errors import DomainError
 from gnp.phasespace import PhaseGrid, PhaseTable
 
@@ -64,7 +64,7 @@ def test_unknown_convention_is_rejected():
     with pytest.raises(ValueError):
         phasespace.q_norm_check(st, "bogus")
     with pytest.raises(ValueError):
-        kernels.prefactor(kernels.ensure_form(st, "R"), "bogus")
+        bridge.resolve_convention(kernels.ensure_form(st, "R"), "bogus")
     # the name is looked up before the integrand's decay is checked
     with pytest.raises(ValueError):
         phasespace.gauss_integral(-np.eye(2), np.zeros(2), "bogus")
@@ -88,7 +88,7 @@ def _single_point(state, kind, conv, z):
 def _per_point_reference(state, kind, conv, Zv):
     """The per-point formulas, written with 1-D products."""
     if kind == "husimi":
-        N, R = kernels.resolve_convention(kernels.ensure_form(state, "R"), conv)
+        N, R = bridge.resolve_convention(kernels.ensure_form(state, "R"), conv)
         return complex(N * np.exp(-0.5 * Zv @ R @ Zv))
     if kind == "wigner":
         sigma = kernels.ensure_form(state, "sigma")
@@ -307,8 +307,8 @@ def test_q_norm_check_resolves_the_kernel_once(convention, monkeypatch):
     def counted(R, conv):
         calls.append(conv)
         return resolve(R, conv)
-    resolve = kernels.resolve_convention
-    monkeypatch.setattr(kernels, "resolve_convention", counted)
+    resolve = bridge.resolve_convention
+    monkeypatch.setattr(bridge, "resolve_convention", counted)
     st = kernels.make_squeezed_thermal([0.9], [0.3])
     if convention == kernels.CALIBRATED:
         phasespace.q_norm_check(st, convention)
