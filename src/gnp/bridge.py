@@ -154,11 +154,9 @@ class CalibrationReport:
         return out
 
 
-def _degeneracy_groups(published_Rs):
-    """Group kernel maps whose bridged kernels agree on the whole suite."""
-    mapped = {
-        name: [apply_r_map(R, name) for R in published_Rs] for name in R_MAPS
-    }
+def _degeneracy_groups(mapped):
+    """Group kernel maps whose bridged kernels, mapped[name] for each suite
+    member, agree on the whole suite."""
     groups = []
     for name in mapped:
         for group in groups:
@@ -188,14 +186,14 @@ def calibrate(cutoff: int = DEFAULT_CUTOFF) -> CalibrationReport:
         physical_Rs.append(r_from_q_hessian(rho))
         q_origins.append(q_of_rho(rho, 0.0))
 
-    for name in R_MAPS:
-        res = max(
-            np.abs(apply_r_map(Rp, name) - Rf).max()
-            for Rp, Rf in zip(published_Rs, physical_Rs)
-        )
+    # each map applied once to each suite kernel; every score below reads these
+    mapped = {name: [apply_r_map(R, name) for R in published_Rs]
+              for name in R_MAPS}
+    for name, Rs in mapped.items():
+        res = max(np.abs(Rm - Rf).max() for Rm, Rf in zip(Rs, physical_Rs))
         report.kernel_residuals[name] = float(res)
 
-    report.degeneracy_groups = _degeneracy_groups(published_Rs)
+    report.degeneracy_groups = _degeneracy_groups(mapped)
     winners = [g for g in report.degeneracy_groups
                if report.kernel_residuals[g[0]] <= ACCEPT_TOL]
     if not winners:
@@ -211,10 +209,8 @@ def calibrate(cutoff: int = DEFAULT_CUTOFF) -> CalibrationReport:
     r_map = winners[0][0]
 
     for rule in PREFACTOR_RULES:
-        res = max(
-            abs(PREFACTOR_RULES[rule](apply_r_map(Rp, r_map)) - q0)
-            for Rp, q0 in zip(published_Rs, q_origins)
-        )
+        res = max(abs(PREFACTOR_RULES[rule](Rm) - q0)
+                  for Rm, q0 in zip(mapped[r_map], q_origins))
         report.prefactor_residuals[rule] = float(res)
     passing = [r for r in PREFACTOR_RULES
                if report.prefactor_residuals[r] <= PREFACTOR_TOL]

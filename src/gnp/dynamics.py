@@ -10,11 +10,11 @@ symmetric and J^T = -J, the three generators B are
                          when J H = H J
 
 The module holds the closed-form propagators, a fixed-step RK4 reference
-integrator, invariant monitoring (det conservation, symplecticity) and the
-audits that discriminate the ordering/convention ambiguities of the closed
-forms.  A stack of m times is one unit: its propagators come from one
-exponential of the (m, d, d) stack B t, and a Trajectory holds (m,) and
-(m, d, d) arrays.
+integrator, invariant monitoring (the largest det drift and, for the
+covariance flow, the largest symplectic residual) and the audits that
+discriminate the ordering/convention ambiguities of the closed forms.  A
+stack of m times is one unit: its propagators come from one exponential of
+the (m, d, d) stack B t, and a Trajectory holds (m,) and (m, d, d) arrays.
 
 On row-major vec(X) the flow is x-dot = L x with L = B (x) I + I (x) B, so
 RK4 is one precomputed increment D, x <- x + D x, applied at every step with
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, matcore
-from .errors import DomainError, NumericalError
+from .errors import NumericalError
 from .matcore import structured
 
 VARIANTS = ("a", "b")
@@ -71,8 +71,6 @@ class QuadraticHamiltonian:
 class Propagator:
     """Closed-form propagator S = exp(B t): X(t) = left @ X0 @ left.T."""
 
-    variant: str
-    t: float
     left: np.ndarray
 
 
@@ -118,11 +116,6 @@ def _flow_of(kind: str, variant: str = "b") -> str:
     return variant if kind == "normal" else kind
 
 
-def covariance_rhs(sigma, H) -> np.ndarray:
-    """(JH) sigma + sigma (JH)^T."""
-    return _rhs(_generator("covariance", H), np.asarray(sigma, dtype=complex))
-
-
 def normal_rhs(R, H) -> np.ndarray:
     """i (R J H - H J R), computed as B R + R B^T with B = -i H J."""
     return _rhs(_generator("b", H), np.asarray(R, dtype=complex))
@@ -130,7 +123,7 @@ def normal_rhs(R, H) -> np.ndarray:
 
 def covariance_propagator(H, t: float) -> Propagator:
     """S(t) = exp(J H t); sigma evolves by S sigma S^T."""
-    return Propagator("covariance", t, _propagators("covariance", H, t))
+    return Propagator(_propagators("covariance", H, t))
 
 
 def covariance_propagate(sigma0, H, t: float) -> np.ndarray:
@@ -144,8 +137,7 @@ def normal_propagator(H, t: float, variant: str) -> Propagator:
     variant "b": S = exp(-i H J t), the ordering that solves the flow
     equation for symmetric H (S^T = exp(+i J H t), since (HJ)^T = -JH).
     """
-    flow = _flow_of("normal", variant)
-    return Propagator(flow, t, _propagators(flow, H, t))
+    return Propagator(_propagators(_flow_of("normal", variant), H, t))
 
 
 def normal_propagate(R0, H, t: float, variant: str = "b") -> np.ndarray:
@@ -235,52 +227,27 @@ def _logged(kind: str, H, times, X: np.ndarray, S) -> Trajectory:
 
 @dataclass
 class InvariantsReport:
-    kind: str
     max_det_drift: float
-    max_symplectic_residual: float
-    logdet_trace_residual: float
-    notes: str = ""
+    max_symplectic_residual: float    # 0.0 when the trajectory logs none
 
 
 def invariants_report(traj: Trajectory) -> InvariantsReport:
-    """Conservation report: det drift along the flow, symplecticity of the
-    accumulated covariance propagator, and ln det R = tr ln R at t = 0."""
+    """Conservation report: the largest det drift along the flow and the
+    largest symplectic residual of the accumulated covariance propagator."""
     if len(traj.times) == 0:
         raise ValueError("empty trajectory")
     # Python's max skips NaN rows of an overflowed kernel after the first
-    det_drift = max(traj.det_drift.tolist())
     sympl = 0.0 if traj.symplectic_residual is None \
         else max(traj.symplectic_residual.tolist())
-    R0 = traj.kernels[0]
-    notes = ""
-    logdet_res = float("nan")
-    vals = np.linalg.eigvals(R0)
-    on_cut = np.any((vals.real <= 0) & (np.abs(vals.imag) < 1e-12))
-    if on_cut:
-        notes = "ln det = tr ln skipped: eigenvalue on the log branch cut"
-    else:
-        try:
-            logR = matcore.mat_analytic(R0, np.log)
-            lhs = np.log(matcore.determinant(R0))
-            rhs = np.trace(logR)
-            logdet_res = abs(lhs - rhs) / max(abs(lhs), 1.0)
-        except (DomainError, NumericalError) as exc:
-            notes = f"ln det = tr ln skipped: {exc}"
-    return InvariantsReport(
-        kind=traj.kind,
-        max_det_drift=float(det_drift),
-        max_symplectic_residual=float(sympl),
-        logdet_trace_residual=float(logdet_res),
-        notes=notes,
-    )
+    return InvariantsReport(max_det_drift=float(max(traj.det_drift.tolist())),
+                            max_symplectic_residual=float(sympl))
 
 
 @dataclass
 class OrderingAuditReport:
     residuals: dict            # variant -> max flow-equation residual
     consistent_variants: list  # variants within AUDIT_TOL of the rhs scale
-    vacuous: bool
-    note: str = ""
+    vacuous: bool              # every variant consistent: nothing discriminated
 
 
 def ordering_audit(R0, H, t_end: float) -> OrderingAuditReport:
@@ -291,12 +258,11 @@ def ordering_audit(R0, H, t_end: float) -> OrderingAuditReport:
     stacked exponential at t - h, t and t + h (the exact derivative
     B_v R + R B_v^T would test variant b against itself).  It must be within
     AUDIT_TOL * max(1, max |rhs|): the difference error grows with it.  The
-    audit is flagged vacuous when it cannot discriminate (commuting
-    J H = H J, or a stationary kernel).
+    audit is flagged vacuous when every variant passes, so that it does not
+    discriminate (as for commuting J H = H J, or a stationary kernel).
     """
     R0 = np.asarray(R0, dtype=complex)
     H = np.asarray(H, dtype=complex)
-    J = structured("J", H.shape[0] // 2)
     h = 1e-5 * max(1.0, abs(t_end))
     ts = np.linspace(t_end / AUDIT_SAMPLES, t_end, AUDIT_SAMPLES)
     residuals = {}
@@ -308,21 +274,10 @@ def ordering_audit(R0, H, t_end: float) -> OrderingAuditReport:
         worst = residuals[variant] = float(np.abs((Rp - Rm) / (2 * h) - rhs).max())
         if worst <= AUDIT_TOL * max(1.0, float(np.abs(rhs).max())):
             consistent.append(variant)
-    commuting = np.abs(J @ H - H @ J).max() <= 1e-12
-    stationary = np.abs(normal_rhs(R0, H)).max() <= 1e-12
-    vacuous = len(consistent) == len(VARIANTS)
-    note = ""
-    if commuting:
-        note = "J H = H J commute: variants coincide, audit vacuous"
-    elif stationary:
-        note = "kernel is stationary under this H: audit vacuous"
-    elif vacuous:
-        note = "both variants satisfy the flow equation here"
     return OrderingAuditReport(
         residuals=residuals,
         consistent_variants=consistent,
-        vacuous=vacuous,
-        note=note,
+        vacuous=len(consistent) == len(VARIANTS),
     )
 
 

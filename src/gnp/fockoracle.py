@@ -271,7 +271,6 @@ class DerivativeIdentityReport:
     residual_rho_a: float          # <Z| rho A |Z> vs (Z + d (E-J)/2) rho(Z)
     residual_at_rho: float         # <Z| A^T rho |Z> vs (Z^T + (E+J)/2 d) rho(Z)
     truncation_flagged: bool
-    note: str = ""
 
 
 def derivative_identity_check(rho: FockOperator, z) -> DerivativeIdentityReport:
@@ -290,8 +289,8 @@ def derivative_identity_check(rho: FockOperator, z) -> DerivativeIdentityReport:
 
     try:
         coherent_vector(z + 2 * h * (1 + 1j), rho.cutoff)
-    except TruncationError as exc:
-        return DerivativeIdentityReport(float("nan"), float("nan"), True, str(exc))
+    except TruncationError:
+        return DerivativeIdentityReport(float("nan"), float("nan"), True)
 
     def rho_of(zz):
         v = coherent_vector(zz, rho.cutoff)

@@ -68,10 +68,11 @@ class EigDecomp:
 
     values: np.ndarray
     right_vectors: np.ndarray
+    inverse_vectors: np.ndarray       # V^-1
     condition_estimate: float
 
     def reconstruct(self) -> np.ndarray:
-        return (self.right_vectors * self.values) @ np.linalg.inv(self.right_vectors)
+        return (self.right_vectors * self.values) @ self.inverse_vectors
 
 
 def eig_decomp(M) -> EigDecomp:
@@ -88,7 +89,8 @@ def eig_decomp(M) -> EigDecomp:
             f"eigenbasis condition {cond:.3e} exceeds {COND_LIMIT:.1e}; "
             "matrix is defective or near-defective"
         )
-    dec = EigDecomp(values=values, right_vectors=vectors, condition_estimate=cond)
+    dec = EigDecomp(values=values, right_vectors=vectors,
+                    inverse_vectors=np.linalg.inv(vectors), condition_estimate=cond)
     scale = max(np.linalg.norm(M), 1e-300)
     residual = np.linalg.norm(dec.reconstruct() - M) / scale
     if residual > TOL_EIG:
@@ -121,8 +123,7 @@ def mat_analytic(M, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     if not np.all(np.isfinite(fvals)):
         bad = dec.values[~np.isfinite(fvals)]
         raise DomainError(f"function not finite at eigenvalue(s) {bad}")
-    V = dec.right_vectors
-    return (V * fvals) @ np.linalg.inv(V)
+    return (dec.right_vectors * fvals) @ dec.inverse_vectors
 
 
 def determinant(M) -> complex:

@@ -194,10 +194,14 @@ def grid_eval(state: GaussianState, function_kind: str, grid: PhaseGrid,
               convention: str = AS_PUBLISHED) -> PhaseTable:
     """Evaluation over a grid, deterministic row-major over (re, im).
 
-    The state's kernel is resolved once for the whole grid.
+    The state's kernel is resolved once for the whole grid.  `convention`
+    applies to the Husimi function only: Wigner and characteristic-function
+    values are always the literal forms, and their tables say as-published.
     """
     points = grid.points()
     values = _evaluate(state, function_kind, _z_stack(points[:, None]), convention)
+    if function_kind != "husimi":
+        convention = AS_PUBLISHED
     return PhaseTable(function_kind=function_kind, convention=convention,
                       points=points, values=values)
 

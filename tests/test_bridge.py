@@ -1,9 +1,11 @@
 """Convention-bridge calibration against the Fock oracle."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from gnp import bridge, kernels
+from gnp import bridge, fockoracle, kernels
 from gnp.errors import NumericalError
 from gnp.matcore import structured
 
@@ -42,6 +44,53 @@ def test_degenerate_maps_are_collapsed(report):
     winners = [g for g in report.degeneracy_groups
                if report.kernel_residuals[g[0]] <= bridge.ACCEPT_TOL]
     assert len(winners) == 1
+
+
+def calibrate_per_map(cutoff):
+    """(kernel residuals, degeneracy groups, prefactor residuals, selected)
+    as calibrate computed them before the mapped kernels were shared: every
+    score applies its map to each suite kernel itself."""
+    published, physical, q0s = [], [], []
+    for _, state, spec in bridge.calibration_suite():
+        published.append(kernels.ensure_form(state, "R"))
+        rho = fockoracle.gaussian_density(spec, cutoff)
+        physical.append(fockoracle.r_from_q_hessian(rho))
+        q0s.append(fockoracle.q_of_rho(rho, 0.0))
+    kernel = {name: float(max(np.abs(bridge.apply_r_map(Rp, name) - Rf).max()
+                              for Rp, Rf in zip(published, physical)))
+              for name in bridge.R_MAPS}
+    groups = []
+    for name in bridge.R_MAPS:
+        for group in groups:
+            if all(np.abs(bridge.apply_r_map(R, name)
+                          - bridge.apply_r_map(R, group[0])).max()
+                   <= bridge.DEGENERACY_TOL for R in published):
+                group.append(name)
+                break
+        else:
+            groups.append([name])
+    [r_map] = [g[0] for g in groups if kernel[g[0]] <= bridge.ACCEPT_TOL]
+    prefactor = {rule: float(max(abs(f(bridge.apply_r_map(Rp, r_map)) - q0)
+                                 for Rp, q0 in zip(published, q0s)))
+                 for rule, f in bridge.PREFACTOR_RULES.items()}
+    assert prefactor["trace-normalized"] <= bridge.PREFACTOR_TOL
+    selected = bridge.ConventionBridge(r_map, "trace-normalized", kernel[r_map])
+    return kernel, groups, prefactor, selected
+
+
+def test_calibration_equals_the_per_map_scores(report):
+    assert (report.kernel_residuals, report.degeneracy_groups,
+            report.prefactor_residuals, report.selected) == calibrate_per_map(30)
+
+
+def test_calibrate_maps_each_suite_kernel_once(monkeypatch):
+    calls = Counter()
+    apply = bridge.apply_r_map
+    monkeypatch.setattr(bridge, "apply_r_map",
+                        lambda R, name: calls.update([name]) or apply(R, name))
+    bridge.calibrate(cutoff=30)
+    n_suite = len(bridge.calibration_suite())
+    assert calls == {name: n_suite for name in bridge.R_MAPS}
 
 
 def test_apply_r_map_table():

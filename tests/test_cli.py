@@ -337,6 +337,20 @@ def test_phase_grid_center(thermal_file, tmp_path, capsys):
     assert abs(center[0] - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("fn", ["wigner", "char"])
+def test_phase_wigner_and_char_tables_say_as_published(fn, thermal_file,
+                                                       tmp_path, capsys):
+    # --convention selects the Husimi kernel only; W and C are the literal forms
+    texts = []
+    for convention in (kernels.CALIBRATED, kernels.AS_PUBLISHED):
+        out = tmp_path / f"{convention}.csv"
+        assert cli.main(["phase", thermal_file, "--fn", fn, "--grid=-1:1:5",
+                         "--convention", convention, "-o", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    assert texts[0].splitlines()[1] == f"# convention={kernels.AS_PUBLISHED}"
+
+
 def test_phase_check_norm_divergent_exits_2(thermal_file, tmp_path, capsys):
     out = tmp_path / "q.csv"
     assert cli.main(["phase", thermal_file, "--fn", "q", "--check-norm",

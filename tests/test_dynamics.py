@@ -260,14 +260,12 @@ def test_det_conserved_along_normal_flow():
     assert rep.max_det_drift < 1e-8
 
 
-def test_invariants_report_logdet_trace():
+def test_invariants_report_symplectic_residual():
     st = kernels.make_thermal([1.0])
-    # sigma is positive definite, so ln det = tr ln is testable there
     traj = dynamics.integrate_rk4("covariance", st.forms["sigma"],
                                   np.eye(2), 0.5, 50)
     rep = dynamics.invariants_report(traj)
     assert rep.max_symplectic_residual < 1e-10
-    assert rep.logdet_trace_residual < 1e-12 or rep.notes
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +293,6 @@ def test_ordering_audit_accepts_variant_b_on_a_grown_kernel():
 def test_ordering_audit_vacuous_for_stationary_kernel():
     rep = dynamics.ordering_audit(thermal_r(), structured("E", 1), 1.0)
     assert rep.vacuous
-    assert rep.note
 
 
 def test_convention_audit_reports_deviations():

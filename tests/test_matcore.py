@@ -113,6 +113,17 @@ def test_mat_analytic_scalar_consistency():
     np.testing.assert_allclose(np.diag(out), np.exp([0.5, 1.5, -0.3]))
 
 
+def test_mat_analytic_inverts_the_eigenvectors_once(monkeypatch):
+    # eig_decomp keeps the V^-1 of its reconstruction guard for the result
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda M: calls.append(M) or inv(M))
+    M = np.array([[1.0, 0.3], [0.2, 2.0]])
+    out = matcore.mat_analytic(M, np.exp)
+    assert len(calls) == 1
+    np.testing.assert_allclose(out, matcore.mat_exp(M), rtol=1e-12)
+
+
 def test_mat_analytic_pole_raises_domain_error():
     # coth has a pole at 0; an eigenvalue there must be refused
     M = np.diag([1.0, 0.0])
