@@ -46,6 +46,17 @@ def _parse_grid(text: str):
     return (lo, hi, count)
 
 
+def _read_state_and_hamiltonian(args):
+    """(state, form, ham) of args, header echoed; ValueError on a mode mismatch."""
+    state, form = stateio.read_state(args.state)
+    ham = stateio.read_hamiltonian(args.ham)
+    _echo_header(args, [args.state, args.ham])
+    if ham.n_modes != state.n_modes:
+        raise ValueError(f"the Hamiltonian has {ham.n_modes} mode(s), "
+                         f"the state {state.n_modes}")
+    return state, form, ham
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -82,9 +93,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    state, form = stateio.read_state(args.state)
-    ham = stateio.read_hamiltonian(args.ham)
-    _echo_header(args, [args.state, args.ham])
+    state, form, ham = _read_state_and_hamiltonian(args)
     if args.t < 0:
         raise DomainError("evolution time must be nonnegative")
     kind = "covariance" if form == "sigma" else "normal"
@@ -110,8 +119,9 @@ def cmd_evolve(args) -> int:
     rep = dynamics.invariants_report(traj)
     print(f"wrote {len(traj.times)}-row trajectory to {args.output}")
     print(f"final state: {final_path}")
-    print(f"max det drift {rep.max_det_drift:.3e}; "
-          f"max symplectic residual {rep.max_symplectic_residual:.3e}")
+    sympl = rep.max_symplectic_residual
+    print(f"max det drift {rep.max_det_drift:.3e}" + (
+        "" if sympl is None else f"; max symplectic residual {sympl:.3e}"))
     return EXIT_OK
 
 
@@ -135,9 +145,7 @@ def cmd_phase(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    state, _ = stateio.read_state(args.state)
-    ham = stateio.read_hamiltonian(args.ham)
-    _echo_header(args, [args.state, args.ham])
+    state, _, ham = _read_state_and_hamiltonian(args)
     R0 = kernels.ensure_form(state, "R")
     ordering = dynamics.ordering_audit(R0, ham.H, args.t)
     convention = dynamics.convention_audit(state, ham.H, args.t)
@@ -206,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ham", required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--method", default="closed", choices=("closed", "rk4"))
-    p.add_argument("--variant", default="b", choices=("a", "b"))
+    p.add_argument("--variant", default="b", choices=("a", "b"),
+                   help="read only by --method closed on R-form states")
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("-o", "--output", required=True)
 
@@ -216,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="-2:2:41")
     p.add_argument("--convention", default=kernels.CALIBRATED,
                    choices=tuple(bridge.CONVENTIONS))
-    p.add_argument("--check-norm", action="store_true")
+    p.add_argument("--check-norm", action="store_true",
+                   help="print the Husimi normalization; read only by --fn q")
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("audit", help="ordering/convention audits and oracle "

@@ -10,17 +10,16 @@ symmetric and J^T = -J, the three generators B are
                          when J H = H J
 
 The module holds the closed-form propagators, a fixed-step RK4 reference
-integrator, invariant monitoring (the largest det drift and, for the
-covariance flow, the largest symplectic residual) and the audits that
-discriminate the ordering/convention ambiguities of the closed forms.  A
-stack of m times is one unit: its propagators come from one exponential of
-the (m, d, d) stack B t, and a Trajectory holds (m,) and (m, d, d) arrays.
+integrator, invariant monitoring and the audits that discriminate the
+ordering/convention ambiguities of the closed forms.  A stack of m times is
+one unit: its propagators come from one exponential of the (m, d, d) stack
+B t, and a Trajectory holds (m,) and (m, d, d) arrays.
 
 On row-major vec(X) the flow is x-dot = L x with L = B (x) I + I (x) B, so
 RK4 is one precomputed increment D, x <- x + D x, applied at every step with
-a compensated (Kahan) sum.  Along an RK4 covariance run the logged
-symplectic residual is that of the accumulated propagator
-S_k = S_{k-1} exp(B h), from one exponential per run.
+a compensated (Kahan) sum.  Every trajectory logs its det drift; only one
+that applied propagators S (a closed form, of any flow) logs a symplectic
+residual, that of those S.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ class Trajectory:
     times: np.ndarray               # (m,)
     kernels: np.ndarray             # (m, d, d)
     det_drift: np.ndarray | None = None            # (m,), from kernels[0]
-    symplectic_residual: np.ndarray | None = None  # (m,), covariance only
+    symplectic_residual: np.ndarray | None = None  # (m,), of the applied S
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +154,8 @@ def integrate_rk4(kind: str, X0, H, t_end: float, steps: int) -> Trajectory:
     D = hL (I + hL/2 (I + hL/3 (I + hL/4))), built once per run (d^2 x d^2,
     at most 64 x 64 for n <= 4); the increments are summed with Kahan
     compensation.  Raises NumericalError naming the first step with a
-    non-finite kernel.  The logged symplectic_residual of the covariance
-    flow is that of the accumulated propagator S_k = S_{k-1} exp(B h).
+    non-finite kernel.  It applies no propagator, so it logs no symplectic
+    residual.
     """
     flow = _flow_of(kind)
     if steps < 1:
@@ -179,22 +178,15 @@ def integrate_rk4(kind: str, X0, H, t_end: float, steps: int) -> Trajectory:
             dx = D @ x[k] - c
             x[k + 1] = x[k] + dx
             c = (x[k + 1] - x[k]) - dx
-    S = None
-    if kind == "covariance":
-        S = np.empty((steps + 1, d, d), dtype=complex)
-        S[0] = np.eye(d)
-        step = matcore.mat_exp(B * h)
-        for k in range(steps):
-            S[k + 1] = S[k] @ step
-    return _logged(kind, H, np.arange(steps + 1) * h,
-                   x.reshape(steps + 1, d, d), S)
+    return _logged(kind, H, np.arange(steps + 1) * h, x.reshape(steps + 1, d, d))
 
 
 def closed_form_trajectory(kind: str, X0, H, t_end: float, steps: int,
                            variant: str = "b") -> Trajectory:
-    """Closed-form flow logged like integrate_rk4 at max(2, steps + 1) equally
-    spaced times, or at t = 0 alone when t_end = 0; `variant`: normal flow.
-    Raises NumericalError naming the first step with a non-finite kernel."""
+    """Closed-form flow at max(2, steps + 1) equally spaced times, or at
+    t = 0 alone when t_end = 0; `variant`: normal flow.  Logs the det drift
+    and the symplectic residual of each applied S.  Raises NumericalError
+    naming the first step with a non-finite kernel."""
     flow = _flow_of(kind, variant)
     times = np.linspace(0.0, t_end, max(2, steps + 1)) \
         if t_end > 0 else np.array([0.0])
@@ -202,14 +194,14 @@ def closed_form_trajectory(kind: str, X0, H, t_end: float, steps: int,
     # a finite S can still overflow S X0 S^T; _logged names the first such time
     with np.errstate(over="ignore", invalid="ignore"):
         X = _apply(S, X0)
-    return _logged(kind, H, times, X, S if kind == "covariance" else None)
+    return _logged(kind, H, times, X, S)
 
 
-def _logged(kind: str, H, times, X: np.ndarray, S) -> Trajectory:
+def _logged(kind: str, H, times, X: np.ndarray, S=None) -> Trajectory:
     """Trajectory of the kernel stack X (m, d, d) at `times`, logging each
-    kernel's det drift from X[0] and, given the covariance propagators S
-    (m, d, d) to each time, their symplectic residuals.  Raises
-    NumericalError naming the first step with a non-finite kernel."""
+    kernel's det drift from X[0] and, given the propagators S (m, d, d)
+    that made X, their symplectic residuals.  Raises NumericalError naming
+    the first step with a non-finite kernel."""
     finite = np.isfinite(X).all(axis=(1, 2))
     if not finite.all():
         raise NumericalError(f"non-finite kernel at step {int(np.argmin(finite))}")
@@ -228,19 +220,19 @@ def _logged(kind: str, H, times, X: np.ndarray, S) -> Trajectory:
 @dataclass
 class InvariantsReport:
     max_det_drift: float
-    max_symplectic_residual: float    # 0.0 when the trajectory logs none
+    max_symplectic_residual: float | None    # None when the trajectory logs none
 
 
 def invariants_report(traj: Trajectory) -> InvariantsReport:
-    """Conservation report: the largest det drift along the flow and the
-    largest symplectic residual of the accumulated covariance propagator."""
+    """Conservation report: the largest det drift along the flow and, if
+    logged, the largest symplectic residual of the applied propagators."""
     if len(traj.times) == 0:
         raise ValueError("empty trajectory")
     # Python's max skips NaN rows of an overflowed kernel after the first
-    sympl = 0.0 if traj.symplectic_residual is None \
-        else max(traj.symplectic_residual.tolist())
+    sympl = None if traj.symplectic_residual is None \
+        else float(max(traj.symplectic_residual.tolist()))
     return InvariantsReport(max_det_drift=float(max(traj.det_drift.tolist())),
-                            max_symplectic_residual=float(sympl))
+                            max_symplectic_residual=sympl)
 
 
 @dataclass

@@ -19,7 +19,6 @@ from .errors import DomainError, NumericalError
 TOL_EIG = 1e-9        # relative eigendecomposition reconstruction residual
 TOL_SOLVE = 1e-10     # relative linear-solve residual
 COND_LIMIT = 1e12     # condition number beyond which we refuse to proceed
-RESIDUAL_CHUNK = 128  # matrices per pass of symplectic_residuals
 
 _KINDS = ("J", "Omega", "E", "I")
 
@@ -164,12 +163,8 @@ def symplectic_residual(S) -> float:
 
 
 def symplectic_residuals(S) -> np.ndarray:
-    """symplectic_residual of each matrix of a stack (m, 2n, 2n), taken
-    RESIDUAL_CHUNK matrices at a time to bound the transients."""
+    """symplectic_residual of each matrix of a stack (m, 2n, 2n)."""
     S = np.asarray(S)
-    if len(S) > RESIDUAL_CHUNK:
-        return np.concatenate([symplectic_residuals(S[k:k + RESIDUAL_CHUNK])
-                               for k in range(0, len(S), RESIDUAL_CHUNK)])
     n = S.shape[-1] // 2
     J = structured("J", n)
     St = np.swapaxes(S, -1, -2)

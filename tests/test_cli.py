@@ -127,6 +127,8 @@ def test_trajectory_csv_equals_the_per_row_writer():
     times = [float(t) for t in np.linspace(0.0, 1.5, 21)]
     trajs = {
         "rk4 covariance": dynamics.integrate_rk4("covariance", sigma0, H, 1.0, 300),
+        "closed covariance": dynamics.closed_form_trajectory(
+            "covariance", sigma0, H, 1.0, 300),
         "closed normal": dynamics.closed_form_trajectory("normal", R0, H, 0.8, 50),
         "closed at t = 0": dynamics.closed_form_trajectory("covariance", sigma0, H, 0.0, 5),
         # a caller-built trajectory: lists, real kernels, no log
@@ -137,7 +139,8 @@ def test_trajectory_csv_equals_the_per_row_writer():
             kind="covariance", H=H, times=[0.0, 0.5],
             kernels=[sigma0.real, (2.0 * sigma0).real]),
     }
-    assert trajs["rk4 covariance"].symplectic_residual is not None
+    # both log columns
+    assert trajs["closed covariance"].symplectic_residual is not None
     for name, traj in trajs.items():
         assert stateio.trajectory_to_csv(traj) == trajectory_csv_reference(traj), name
 
@@ -324,6 +327,55 @@ def test_evolve_rk4_matches_closed(thermal_file, tmp_path, capsys):
     _, _, kc = stateio.trajectory_from_csv(closed_f.read_text())
     _, _, kr = stateio.trajectory_from_csv(rk4_f.read_text())
     assert np.abs(kc[-1] - kr[-1]).max() < 1e-8
+
+
+@pytest.fixture
+def evolve_files(tmp_path):
+    """Paths of thermal R and sigma files, a one-mode and a two-mode H."""
+    st = kernels.make_thermal([1.3])
+    files = {form: tmp_path / f"{form}.json" for form in ("R", "sigma")}
+    for form, path in files.items():
+        stateio.write_state(path, kernels.GaussianState(
+            1, {form: kernels.ensure_form(st, form)}), form)
+    for label, H in (("h1", [[1.0, 0.2], [0.2, 1.4]]), ("h2", np.eye(4))):
+        files[label] = tmp_path / f"{label}.json"
+        H = np.array(H)
+        stateio.write_hamiltonian(files[label],
+                                  dynamics.QuadraticHamiltonian(len(H) // 2, H))
+    return {k: str(v) for k, v in files.items()}
+
+
+@pytest.mark.parametrize("method", ["closed", "rk4"])
+@pytest.mark.parametrize("form", ["R", "sigma"])
+def test_evolve_prints_a_residual_only_where_measured(method, form, evolve_files,
+                                                      tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert cli.main(["evolve", evolve_files[form], "--ham", evolve_files["h1"],
+                     "--t", "1", "--method", method, "-o", str(out)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    drift, _, residual = last.partition("; max symplectic residual ")
+    assert drift.startswith("max det drift ")
+    header = out.read_text().splitlines()[1].split(",")
+    if method == "rk4":
+        assert residual == "" and header[-1] == "det_drift"
+    else:
+        assert 0 < float(residual) < 1e-10 and header[-1] == "symplectic_residual"
+
+
+@pytest.mark.parametrize("command", [
+    ["evolve", "--t", "1", "-o", "out.csv"],
+    ["audit", "-o", "out.json"],
+], ids=["evolve", "audit"])
+def test_mode_count_mismatch_exits_1_naming_both(command, evolve_files,
+                                                 tmp_path, capsys):
+    out = tmp_path / command[-1]
+    argv = [command[0], evolve_files["R"], "--ham", evolve_files["h2"],
+            *command[1:-1], str(out)]
+    assert cli.main(argv) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout.splitlines()[1] == "command: " + " ".join(argv)
+    assert err == "error: the Hamiltonian has 2 mode(s), the state 1\n"
+    assert not out.exists()
 
 
 def test_phase_grid_center(thermal_file, tmp_path, capsys):

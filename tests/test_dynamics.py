@@ -213,16 +213,28 @@ def test_rk4_at_t_zero_is_constant(kind):
     for X in traj.kernels:
         np.testing.assert_array_equal(X, X0)
     np.testing.assert_array_equal(traj.det_drift, np.zeros(11))
-    assert (traj.symplectic_residual is None) == (kind == "normal")
-    if kind == "covariance":
-        np.testing.assert_array_equal(traj.symplectic_residual, np.zeros(11))
+    # RK4 applies no propagator, so there is no symplectic residual to log
+    assert traj.symplectic_residual is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_rk4_accumulated_propagator_stays_symplectic(n):
-    X0, H = rk4_input("covariance", n, np.random.default_rng([96, n]))
-    traj = dynamics.integrate_rk4("covariance", X0, H, 1.0, 1000)
-    assert dynamics.invariants_report(traj).max_symplectic_residual < 1e-10
+def test_closed_form_logs_a_small_symplectic_residual_for_every_flow(n):
+    for flow in ("a", "b", "covariance"):
+        kind, variant = ("covariance", "b") if flow == "covariance" \
+            else ("normal", flow)
+        X0, H = rk4_input(kind, n, np.random.default_rng([96, n]))
+        traj = dynamics.closed_form_trajectory(kind, X0, H, 1.0, 1000, variant)
+        assert traj.symplectic_residual.shape == (1001,)
+        assert dynamics.invariants_report(traj).max_symplectic_residual < 1e-10, flow
+
+
+def test_rk4_makes_no_exponential_for_either_kind(monkeypatch):
+    calls = []
+    monkeypatch.setattr(matcore, "mat_exp", lambda M: calls.append(M) or expm(M))
+    for kind in ("normal", "covariance"):
+        X0, H = rk4_input(kind, 2, np.random.default_rng(97))
+        dynamics.integrate_rk4(kind, X0, H, 1.0, 100)
+    assert calls == []
 
 
 def test_rk4_matches_closed_form_variant_b():
@@ -262,10 +274,12 @@ def test_det_conserved_along_normal_flow():
 
 def test_invariants_report_symplectic_residual():
     st = kernels.make_thermal([1.0])
-    traj = dynamics.integrate_rk4("covariance", st.forms["sigma"],
-                                  np.eye(2), 0.5, 50)
-    rep = dynamics.invariants_report(traj)
-    assert rep.max_symplectic_residual < 1e-10
+    for kind, form in (("covariance", "sigma"), ("normal", "R")):
+        X0 = kernels.ensure_form(st, form)
+        rk4 = dynamics.integrate_rk4(kind, X0, np.eye(2), 0.5, 50)
+        assert dynamics.invariants_report(rk4).max_symplectic_residual is None
+        closed = dynamics.closed_form_trajectory(kind, X0, np.eye(2), 0.5, 50)
+        assert dynamics.invariants_report(closed).max_symplectic_residual < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -373,20 +387,21 @@ def test_convention_audit_equals_the_per_time_loop():
 def test_closed_form_trajectory_equals_per_time_propagation(flow, n):
     kind, variant = ("covariance", "b") if flow == "covariance" else ("normal", flow)
     X0, H = rk4_input(kind, n, np.random.default_rng([99, n]))
-    # 301 times span three passes of matcore.RESIDUAL_CHUNK
+    # stacks of 301, 2 and 1 times
     for t_end, steps in ((1.3, 300), (0.4, 1), (0.0, 10)):
         traj = dynamics.closed_form_trajectory(kind, X0, H, t_end, steps, variant)
         m = steps + 1 if t_end > 0 else 1
         assert traj.times.shape == (m,) and traj.kernels.shape == (m, 2 * n, 2 * n)
         if kind == "covariance":
             per_time = [dynamics.covariance_propagate(X0, H, t) for t in traj.times]
-            assert traj.symplectic_residual.tolist() == [
-                matcore.symplectic_residual(dynamics.covariance_propagator(H, t).left)
-                for t in traj.times]
+            props = [dynamics.covariance_propagator(H, t) for t in traj.times]
         else:
             per_time = [dynamics.normal_propagate(X0, H, t, variant)
                         for t in traj.times]
-            assert traj.symplectic_residual is None
+            props = [dynamics.normal_propagator(H, t, variant) for t in traj.times]
+        # every flow logs the residual of the S it applied
+        assert traj.symplectic_residual.tolist() == [
+            matcore.symplectic_residual(p.left) for p in props]
         assert np.array_equal(traj.kernels, per_time)
         dets = [complex(np.linalg.det(X)) for X in per_time]
         assert traj.det_drift.tolist() == [

@@ -198,8 +198,8 @@ def test_stacked_symplectic_residuals_match_each_matrix():
         stacked = matcore.symplectic_residuals(S)
         np.testing.assert_array_equal(stacked, expected)
         assert [matcore.symplectic_residual(M) for M in S] == list(stacked)
-    # a stack longer than one pass of RESIDUAL_CHUNK matrices
-    m = 2 * matcore.RESIDUAL_CHUNK + 3
+    # a long stack
+    m = 259
     S = np.array([random_symplectic(2, rng, scale=0.5) for _ in range(m)])
     S[::7] += 1e-6 * rng.standard_normal(S[::7].shape)
     stacked = matcore.symplectic_residuals(S)
