@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ham", required=True)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--with-oracle", action="store_true")
-    p.add_argument("--cutoff", type=int, default=40)
+    p.add_argument("--cutoff", type=int, default=bridge.DEFAULT_CUTOFF)
     p.add_argument("-o", "--output", required=True)
 
     return ap

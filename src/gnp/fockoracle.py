@@ -1,10 +1,10 @@
 """Independent truncated Fock-space ground truth.
 
-Dense ladder operators, quadratic operators, Gaussian density operators
-built as normalized exponentials, coherent-state overlaps, Liouville
-evolution, and the log-Hessian extraction of the physical normal-product
-kernel.  Nothing here depends on the kernel-algebra formulas it is used to
-verify; the only shared ingredient is plain linear algebra.
+Dense ladder and quadratic operators, Gaussian densities built as normalized
+exponentials, Liouville evolution, stacked coherent states read by one
+Husimi evaluator `q_values`, and the log-Hessian extraction of the physical
+normal-product kernel.  Nothing here depends on the kernel-algebra formulas
+it is used to verify; the only shared ingredient is plain linear algebra.
 """
 
 from __future__ import annotations
@@ -180,34 +180,47 @@ def gaussian_density(spec: PhysicalSpec, cutoff: int) -> FockOperator:
     return op
 
 
-def coherent_vector(z, cutoff: int) -> np.ndarray:
-    """Truncated coherent state |z_1..z_n> as a dense vector."""
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.ones(1, dtype=complex)
-    for zi in zs:
-        v = np.zeros(cutoff, dtype=complex)
-        v[0] = 1.0
-        for k in range(1, cutoff):
-            v[k] = v[k - 1] * zi / np.sqrt(k)
-        v *= np.exp(-abs(zi) ** 2 / 2.0)
-        out = np.kron(out, v)
-    deficit = abs(1.0 - np.linalg.norm(out) ** 2)
-    if deficit > 1e-8:
+def coherent_vectors(zs, cutoff: int) -> np.ndarray:
+    """Truncated coherent states |z_1..z_n>, one row per row of an (m, n) stack."""
+    zs = np.asarray(zs, dtype=complex)
+    levels = np.ones((cutoff,) + zs.shape, dtype=complex)    # z^k / sqrt(k!)
+    for k, root in enumerate(np.sqrt(np.arange(1, cutoff)).tolist(), 1):
+        levels[k] = levels[k - 1] * zs / root
+    levels *= np.exp(-np.abs(zs) ** 2 / 2.0)
+    out = np.ones((len(zs), 1), dtype=complex)
+    for mode in levels.T:                # (m, cutoff) per mode: row-wise kron
+        out = (out[:, :, None] * mode[:, None, :]).reshape(len(zs), -1)
+    deficit = np.abs(1.0 - np.linalg.norm(out, axis=1) ** 2)
+    if (deficit > 1e-8).any():
+        row = np.argmax(deficit > 1e-8)
         raise TruncationError(
-            f"coherent state |z|={np.abs(zs).max():.3g} loses norm "
-            f"{deficit:.3e} at cutoff {cutoff}"
+            f"coherent state |z|={np.abs(zs[row]).max():.3g} loses norm "
+            f"{deficit[row]:.3e} at cutoff {cutoff}"
         )
     return out
 
 
+def _q_rows(rho: FockOperator, V: np.ndarray) -> np.ndarray:
+    """<Z| rho |Z> for each row |Z> of V, in one matrix product."""
+    vals = ((V.conj() @ rho.matrix) * V).sum(axis=1)
+    imag = np.abs(vals.imag).max(initial=0.0)
+    if imag > 1e-10:
+        raise DomainError(f"<Z|rho|Z> has imaginary part {imag:.3e}; "
+                          "rho is not Hermitian enough")
+    return vals.real
+
+
+def q_values(rho: FockOperator, zs) -> np.ndarray:
+    """Husimi-Q values <Z| rho |Z> for an (m, n_modes) stack of amplitudes."""
+    zs = np.asarray(zs, dtype=complex)
+    if zs.ndim != 2 or zs.shape[1] != rho.n_modes:
+        raise ValueError(f"rho has {rho.n_modes} mode(s), amplitude shape {zs.shape}")
+    return _q_rows(rho, coherent_vectors(zs, rho.cutoff))
+
+
 def q_of_rho(rho: FockOperator, z) -> float:
     """Husimi-Q value <Z| rho |Z> of a Hermitian density operator."""
-    v = coherent_vector(z, rho.cutoff)
-    val = complex(v.conj() @ rho.matrix @ v)
-    if abs(val.imag) > 1e-10:
-        raise DomainError(f"<Z|rho|Z> has imaginary part {val.imag:.3e}; "
-                          "rho is not Hermitian enough")
-    return float(val.real)
+    return float(q_values(rho, np.atleast_1d(z)[None])[0])
 
 
 def r_from_q_hessian(rho: FockOperator) -> np.ndarray:
@@ -215,32 +228,24 @@ def r_from_q_hessian(rho: FockOperator) -> np.ndarray:
 
     Builds the real Hessian of -ln Q in (x_1..x_n, y_1..y_n) by centered
     second differences and transforms it to the (z, z*) coordinates.  Warns
-    when the log-Hessian is not step-stable (non-Gaussian Q).
+    when the log-Hessian is not step-stable (non-Gaussian Q) between the
+    steps h and 2h, whose stencils share one stacked Q evaluation.
     """
     n = rho.n_modes
-    h = HESSIAN_STEP
-
-    def f(u):
-        zs = u[:n] + 1j * u[n:]
-        return -np.log(q_of_rho(rho, zs))
-
-    def hessian(hh):
-        H = np.zeros((2 * n, 2 * n))
-        f0 = f(np.zeros(2 * n))
-        for i in range(2 * n):
-            ei = np.zeros(2 * n)
-            ei[i] = hh
-            H[i, i] = (f(ei) - 2 * f0 + f(-ei)) / hh ** 2
-            for j in range(i + 1, 2 * n):
-                ej = np.zeros(2 * n)
-                ej[j] = hh
-                H[i, j] = H[j, i] = (
-                    f(ei + ej) - f(ei - ej) - f(-ei + ej) + f(-ei - ej)
-                ) / (4 * hh ** 2)
-        return H
-
-    H1 = hessian(h)
-    H2 = hessian(2 * h)
+    d = 2 * n
+    eye = np.eye(d)
+    i, j = np.triu_indices(d, 1)
+    plus, minus = eye[i] + eye[j], eye[i] - eye[j]    # one row per pair i < j
+    offsets = np.concatenate([np.zeros((1, d)), eye, -eye, plus, minus, -minus, -plus])
+    steps = np.array([[HESSIAN_STEP], [2 * HESSIAN_STEP]])
+    u = (steps[..., None] * offsets).reshape(-1, d)
+    f = -np.log(q_values(rho, u[:, :n] + 1j * u[:, n:])).reshape(2, -1)
+    f0, fp, fm, fpp, fpm, fmp, fmm = np.split(f, np.cumsum([1, d, d] + [len(i)] * 3),
+                                              axis=1)
+    H = np.zeros((2, d, d))
+    H[:, range(d), range(d)] = (fp - 2 * f0 + fm) / steps ** 2
+    H[:, i, j] = H[:, j, i] = (fpp - fpm - fmp + fmm) / (4 * steps ** 2)
+    H1, H2 = H
     if np.abs(H1 - H2).max() > 1e-4:
         warnings.warn("log-Hessian is not step-stable; Q may be non-Gaussian "
                       f"(change {np.abs(H1 - H2).max():.3e})")
@@ -280,44 +285,38 @@ def derivative_identity_check(rho: FockOperator, z) -> DerivativeIdentityReport:
     as independent, via fourth-order centered stencils in re/im combined as
     Wirtinger derivatives.
     """
-    if rho.n_modes != 1:
-        raise ValueError("derivative identity check is single-mode only")
-    z = complex(np.atleast_1d(np.asarray(z, dtype=complex))[0])
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if rho.n_modes != 1 or z.shape != (1,):
+        raise ValueError("derivative identity check is single-mode only: rho has "
+                         f"{rho.n_modes} mode(s), z {z.size} amplitude(s)")
+    z = z[0]
     h = DERIVATIVE_STEP
     a = _ladder(rho.cutoff)
-    ad = a.T
+    A = np.stack([a, a.T])
 
+    # the centre, then the stencils z + (2, 1, -1, -2) h along re and im
+    stencil = h * np.array([2, 1, -1, -2])
+    zs = z + np.concatenate([[0], stencil, 1j * stencil])
     try:
-        coherent_vector(z + 2 * h * (1 + 1j), rho.cutoff)
+        V = coherent_vectors(zs[:, None], rho.cutoff)
     except TruncationError:
         return DerivativeIdentityReport(float("nan"), float("nan"), True)
-
-    def rho_of(zz):
-        v = coherent_vector(zz, rho.cutoff)
-        return complex(v.conj() @ rho.matrix @ v)
-
-    def d4(g, direction):
-        # fourth-order centered stencil along +1 (re) or +1j (im)
-        return (-g(z + 2 * h * direction) + 8 * g(z + h * direction)
-                - 8 * g(z - h * direction) + g(z - 2 * h * direction)) / (12 * h)
-
-    dx = d4(rho_of, 1.0)
-    dy = d4(rho_of, 1j)
+    q = _q_rows(rho, V)
+    rho_z, s = q[0], q[1:].reshape(2, 4)
+    # fourth-order centered stencils along re (dx) and im (dy)
+    dx, dy = (-s[:, 0] + 8 * s[:, 1] - 8 * s[:, 2] + s[:, 3]) / (12 * h)
     dz = 0.5 * (dx - 1j * dy)        # d/dz with z, z* independent
     dzs = 0.5 * (dx + 1j * dy)       # d/dz*
     grad = np.array([dz, dzs])
 
-    v = coherent_vector(z, rho.cutoff)
-    rho_z = rho_of(z)
+    v = V[0]
     Z = np.array([z, np.conj(z)])
     E = structured("E", 1)
     J = structured("J", 1)
 
-    lhs_rho_a = np.array([complex(v.conj() @ rho.matrix @ a @ v),
-                          complex(v.conj() @ rho.matrix @ ad @ v)])
+    lhs_rho_a = v.conj() @ rho.matrix @ A @ v
     rhs_rho_a = Z * rho_z + ((E - J) / 2.0) @ grad
-    lhs_at_rho = np.array([complex(v.conj() @ a @ rho.matrix @ v),
-                           complex(v.conj() @ ad @ rho.matrix @ v)])
+    lhs_at_rho = v.conj() @ A @ rho.matrix @ v
     rhs_at_rho = Z * rho_z + ((E + J) / 2.0) @ grad
 
     return DerivativeIdentityReport(

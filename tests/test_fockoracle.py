@@ -219,13 +219,117 @@ def test_check_tail_raises_just_outside_error(n_modes):
 # ---------------------------------------------------------------------------
 # coherent states and Q values
 
+def per_point_coherent_vector(z, cutoff):
+    """|z_1..z_n> by the scalar recursion over levels and a kron per mode."""
+    out = np.ones(1, dtype=complex)
+    for zi in np.atleast_1d(np.asarray(z, dtype=complex)):
+        v = np.zeros(cutoff, dtype=complex)
+        v[0] = 1.0
+        for k in range(1, cutoff):
+            v[k] = v[k - 1] * zi / np.sqrt(k)
+        v *= np.exp(-abs(zi) ** 2 / 2.0)
+        out = np.kron(out, v)
+    return out
+
+
+def per_point_q(rho, z):
+    v = per_point_coherent_vector(z, rho.cutoff)
+    return (v.conj() @ rho.matrix @ v).real
+
+
+def per_point_r_from_q_hessian(rho):
+    """The log-Hessian kernel by nested loops over one Q value per point."""
+    n = rho.n_modes
+
+    def f(u):
+        return -np.log(per_point_q(rho, u[:n] + 1j * u[n:]))
+
+    h = fo.HESSIAN_STEP
+    H = np.zeros((2 * n, 2 * n))
+    f0 = f(np.zeros(2 * n))
+    for i in range(2 * n):
+        ei = np.zeros(2 * n)
+        ei[i] = h
+        H[i, i] = (f(ei) - 2 * f0 + f(-ei)) / h ** 2
+        for j in range(i + 1, 2 * n):
+            ej = np.zeros(2 * n)
+            ej[j] = h
+            H[i, j] = H[j, i] = (f(ei + ej) - f(ei - ej) - f(-ei + ej)
+                                 + f(-ei - ej)) / (4 * h ** 2)
+    eye = np.eye(n)
+    Tinv = np.linalg.inv(np.block([[eye, 1j * eye], [eye, -1j * eye]]))
+    R = Tinv.T @ H @ Tinv
+    return 0.5 * (R + R.T)
+
+
+ORACLE_CASES = {
+    1: (fo.PhysicalSpec("squeezed-thermal", [0.7], [0.4]), 40),
+    2: (fo.PhysicalSpec("squeezed-thermal", [1.7, 2.1], [0.2, 0.1]), 20),
+}
+
+
 def test_coherent_vector_cases():
-    v0 = fo.coherent_vector(0.0, 10)
-    np.testing.assert_allclose(v0, np.eye(10)[0], atol=1e-15)
-    v1 = fo.coherent_vector(1.0, 30)
+    v0, v1 = fo.coherent_vectors([[0.0], [1.0]], 30)
+    np.testing.assert_allclose(v0, np.eye(30)[0], atol=1e-15)
     assert abs(np.linalg.norm(v1) - 1.0) < 1e-12
     with pytest.raises(TruncationError):
-        fo.coherent_vector(4.0, 10)
+        fo.coherent_vectors([[4.0]], 10)
+
+
+def test_coherent_vectors_raise_when_any_row_loses_norm():
+    with pytest.raises(TruncationError, match=r"\|z\|=4 loses norm"):
+        fo.coherent_vectors([[0.5, 0.1], [0.2, 4.0], [0.0, 0.0]], 10)
+
+
+@pytest.mark.parametrize("n_modes", [1, 2])
+def test_q_values_match_the_per_point_sandwich(n_modes):
+    spec, cutoff = ORACLE_CASES[n_modes]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rho = fo.gaussian_density(spec, cutoff)
+    axis = np.array([-0.8, 0.0, 0.5 + 0.5j, 0.3 - 0.9j])
+    zs = np.array(np.meshgrid(*[axis] * n_modes, indexing="ij")).reshape(n_modes, -1).T
+    expected = [per_point_q(rho, z) for z in zs]
+    np.testing.assert_allclose(fo.q_values(rho, zs), expected, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("n_modes", [1, 2])
+def test_r_from_q_hessian_matches_the_nested_loop_hessian(n_modes):
+    spec, cutoff = ORACLE_CASES[n_modes]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rho = fo.gaussian_density(spec, cutoff)
+    np.testing.assert_allclose(fo.r_from_q_hessian(rho),
+                               per_point_r_from_q_hessian(rho), rtol=0, atol=1e-9)
+
+
+def test_each_q_reader_builds_its_coherent_states_once(monkeypatch):
+    rows = []
+    coherent_vectors = fo.coherent_vectors
+
+    def counted(zs, cutoff):
+        rows.append(len(zs))
+        return coherent_vectors(zs, cutoff)
+    monkeypatch.setattr(fo, "coherent_vectors", counted)
+
+    rho = fo.gaussian_density(fo.PhysicalSpec("thermal", [LN2]), 40)
+    fo.r_from_q_hessian(rho)
+    assert rows == [18]          # both steps: 1 + 4 + 4 points each
+    rows.clear()
+    fo.derivative_identity_check(rho, 0.3 + 0.1j)
+    assert rows == [9]           # the centre and eight stencil points
+
+
+@pytest.mark.parametrize("n_modes,call,z,message", [
+    (1, fo.q_of_rho, [0.1, 0.2], r"rho has 1 mode\(s\), amplitude shape \(1, 2\)"),
+    (2, fo.q_of_rho, 0.1, r"rho has 2 mode\(s\), amplitude shape \(1, 1\)"),
+    (1, fo.derivative_identity_check, [0.1, 0.2],
+     r"rho has 1 mode\(s\), z 2 amplitude\(s\)"),
+], ids=["q-one-mode-two-amplitudes", "q-two-modes-one-amplitude",
+        "derivative-one-mode-two-amplitudes"])
+def test_amplitude_count_must_match_the_mode_count(n_modes, call, z, message):
+    with pytest.raises(ValueError, match=message):
+        call(diagonal_density(n_modes, 1e-3), z)
 
 
 def test_q_of_rho_thermal_profile():
@@ -299,3 +403,12 @@ def test_derivative_identities_flag_truncation():
     rho = fo.gaussian_density(fo.PhysicalSpec("thermal", [LN2]), 15)
     rep = fo.derivative_identity_check(rho, 3.0)
     assert rep.truncation_flagged
+
+
+@pytest.mark.parametrize("z", [-3.7354, -3.7354j], ids=["left", "below"])
+def test_derivative_identities_flag_a_stencil_point_left_or_below(z):
+    # z itself and z + 2h(1+i) keep their norm; z - 2h or z - 2ih does not
+    rho = fo.gaussian_density(fo.PhysicalSpec("thermal", [LN2]), 40)
+    rep = fo.derivative_identity_check(rho, z)
+    assert rep.truncation_flagged
+    assert np.isnan(rep.residual_rho_a) and np.isnan(rep.residual_at_rho)

@@ -21,8 +21,8 @@ evolve closed (both variants, 100 and 1000 steps) and RK4 (100 and 200
 steps) on the sigma and R files and on three-mode thermal omega =
 0.6/1.0/1.5 ones at t = 0, 0.7 and 2, plus error, one-step and overflowing
 runs; audit on every file but the three-mode ones, on a stationary kernel,
-at t = 60, once with --with-oracle --cutoff 30 and once with a Hamiltonian of
-the wrong mode count.
+at t = 60, with --with-oracle at --cutoff 30 and at the default cutoff, and
+once with a Hamiltonian of the wrong mode count.
 """
 
 from __future__ import annotations
@@ -134,6 +134,7 @@ def commands(modes: dict) -> list:
         ["audit", "t1_G.json", "--ham", "hgrow.json", "--t", "60", "-o", "out.json"],
         ["audit", "t1_G.json", "--ham", "h1.json", "--with-oracle",
          "--cutoff", "30", "-o", "out.json"],
+        ["audit", "t1_G.json", "--ham", "h1.json", "--with-oracle", "-o", "out.json"],
         ["audit", "t1_R.json", "--ham", "h2.json", "-o", "out.json"],
     ]
     return cmds
