@@ -2,9 +2,11 @@
 
 Dense ladder and quadratic operators, Gaussian densities built as normalized
 exponentials, Liouville evolution, stacked coherent states read by one
-Husimi evaluator `q_values`, and the log-Hessian extraction of the physical
-normal-product kernel.  Nothing here depends on the kernel-algebra formulas
-it is used to verify; the only shared ingredient is plain linear algebra.
+Husimi evaluator `q_values`, and the physical normal-product kernel as the
+exact log-Hessian of Q at the origin, read from the matrix elements of rho
+with at most two excitations.  Nothing here depends on the kernel-algebra
+formulas it is used to verify; the only shared ingredient is plain linear
+algebra.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .matcore import structured
 TAIL_WARN = 1e-8
 TAIL_ERROR = 1e-4
 PAD = 8                # extra levels under the exponent of gaussian_density
-HESSIAN_STEP = 1e-3    # finite-difference step of r_from_q_hessian
 DERIVATIVE_STEP = 1e-3  # stencil step of derivative_identity_check
 
 
@@ -224,38 +225,31 @@ def q_of_rho(rho: FockOperator, z) -> float:
 
 
 def r_from_q_hessian(rho: FockOperator) -> np.ndarray:
-    """Physical normal-product kernel from the log-Hessian of Q at the origin.
+    """Physical normal-product kernel: the exact log-Hessian of Q at the origin.
 
-    Builds the real Hessian of -ln Q in (x_1..x_n, y_1..y_n) by centered
-    second differences and transforms it to the (z, z*) coordinates.  Warns
-    when the log-Hessian is not step-stable (non-Gaussian Q) between the
-    steps h and 2h, whose stencils share one stacked Q evaluation.
+    Q(Z) = e^{-|z|^2} sum rho_{m,k} z*^m z^k / sqrt(m! k!), so the Hessian of
+    -ln Q in (z, z*) reads the elements of rho / rho_00 with at most two
+    excitations: delta_ij - rho_{e_j,e_i} in the cross blocks,
+    -c_ij rho_{0,e_i+e_j} and -c_ij rho_{e_i+e_j,0} (c_ii = sqrt 2, else 1) in
+    the diagonal ones, plus v v^T with v = (rho_{0,e_i}, rho_{e_i,0}).
     """
     n = rho.n_modes
-    d = 2 * n
-    eye = np.eye(d)
-    i, j = np.triu_indices(d, 1)
-    plus, minus = eye[i] + eye[j], eye[i] - eye[j]    # one row per pair i < j
-    offsets = np.concatenate([np.zeros((1, d)), eye, -eye, plus, minus, -minus, -plus])
-    steps = np.array([[HESSIAN_STEP], [2 * HESSIAN_STEP]])
-    u = (steps[..., None] * offsets).reshape(-1, d)
-    f = -np.log(q_values(rho, u[:, :n] + 1j * u[:, n:])).reshape(2, -1)
-    f0, fp, fm, fpp, fpm, fmp, fmm = np.split(f, np.cumsum([1, d, d] + [len(i)] * 3),
-                                              axis=1)
-    H = np.zeros((2, d, d))
-    H[:, range(d), range(d)] = (fp - 2 * f0 + fm) / steps ** 2
-    H[:, i, j] = H[:, j, i] = (fpp - fpm - fmp + fmm) / (4 * steps ** 2)
-    H1, H2 = H
-    if np.abs(H1 - H2).max() > 1e-4:
-        warnings.warn("log-Hessian is not step-stable; Q may be non-Gaussian "
-                      f"(change {np.abs(H1 - H2).max():.3e})")
-    eye = np.eye(n)
-    Tinv = np.linalg.inv(np.block([[eye, 1j * eye], [eye, -1j * eye]]))
-    R = Tinv.T @ H1 @ Tinv
-    R = 0.5 * (R + R.T)
-    if np.abs(R.imag).max() < 1e-9:
-        R = R.real.astype(complex)
-    return R
+    if rho.cutoff < 3:
+        raise ValueError("the log-Hessian reads two excitations: cutoff must be >= 3")
+    r = rho.matrix.reshape((rho.cutoff,) * (2 * n))    # r[m_1..m_n, k_1..k_n]
+    one = np.eye(n, dtype=int)                          # row i: e_i
+    two, zero = one[:, None] + one[None, :], np.zeros(n, dtype=int)
+
+    def element(bra, ket):
+        """rho_{bra,ket} / rho_00 over broadcast stacks of occupations."""
+        levels = np.concatenate(np.broadcast_arrays(bra, ket), axis=-1)
+        return r[tuple(np.moveaxis(levels, -1, 0))] / r.flat[0]
+
+    c = 1.0 + (np.sqrt(2.0) - 1.0) * np.eye(n)
+    cross = np.eye(n) - element(one[None], one[:, None])   # [i, j]: rho_{e_j,e_i}
+    v = np.concatenate([element(zero, one), element(one, zero)])
+    return np.block([[-c * element(zero, two), cross],
+                     [cross.T, -c * element(two, zero)]]) + np.outer(v, v)
 
 
 def liouville_step(rho0: FockOperator, H_kernel, t: float) -> FockOperator:

@@ -1,13 +1,14 @@
 """Truncated Fock-space oracle: operators, densities, Q values, identities."""
 
 import ast
+import functools
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gnp import fockoracle as fo, kernels
+from gnp import dynamics, fockoracle as fo, kernels
 from gnp.errors import TruncationError
 from gnp.matcore import structured
 
@@ -238,13 +239,18 @@ def per_point_q(rho, z):
 
 
 def per_point_r_from_q_hessian(rho):
-    """The log-Hessian kernel by nested loops over one Q value per point."""
+    """The log-Hessian kernel by finite differences, one Q value per point.
+
+    Centered second differences of -ln Q in (x_1..x_n, y_1..y_n) with step
+    1e-3, transformed to (z, z*) coordinates: the reference for the exact
+    read of `fo.r_from_q_hessian`, to within its ~1e-10 stencil floor.
+    """
     n = rho.n_modes
 
     def f(u):
         return -np.log(per_point_q(rho, u[:n] + 1j * u[n:]))
 
-    h = fo.HESSIAN_STEP
+    h = 1e-3
     H = np.zeros((2 * n, 2 * n))
     f0 = f(np.zeros(2 * n))
     for i in range(2 * n):
@@ -268,6 +274,40 @@ ORACLE_CASES = {
 }
 
 
+def passive(h):
+    """H = [[0, h], [h, 0]]: (1/2) A^T H A conserves the photon number."""
+    h = np.atleast_2d(h)
+    zero = np.zeros_like(h)
+    return np.block([[zero, h], [h, zero]])
+
+
+# squeezed thermal states and the passive H that turns their kernels complex
+ROTATED_CASES = {
+    1: (fo.PhysicalSpec("squeezed-thermal", [1.0], [0.3]), 40, passive(0.8)),
+    2: (ORACLE_CASES[2][0], 14, passive([[0.8, 0.3], [0.3, 1.1]])),
+}
+
+
+def rotated_density(n_modes, t):
+    spec, cutoff, H = ROTATED_CASES[n_modes]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return fo.liouville_step(fo.gaussian_density(spec, cutoff), H, t)
+
+
+@functools.cache             # read-only; the two-mode build takes ~0.5 s
+def oracle_density(n_modes):
+    spec, cutoff = ORACLE_CASES[n_modes]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return fo.gaussian_density(spec, cutoff)
+
+
+def coherent_projector(alpha, cutoff):
+    v = fo.coherent_vectors([[alpha]], cutoff)[0]
+    return fo.FockOperator(1, cutoff, np.outer(v, v.conj()))
+
+
 def test_coherent_vector_cases():
     v0, v1 = fo.coherent_vectors([[0.0], [1.0]], 30)
     np.testing.assert_allclose(v0, np.eye(30)[0], atol=1e-15)
@@ -283,22 +323,26 @@ def test_coherent_vectors_raise_when_any_row_loses_norm():
 
 @pytest.mark.parametrize("n_modes", [1, 2])
 def test_q_values_match_the_per_point_sandwich(n_modes):
-    spec, cutoff = ORACLE_CASES[n_modes]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rho = fo.gaussian_density(spec, cutoff)
+    rho = oracle_density(n_modes)
     axis = np.array([-0.8, 0.0, 0.5 + 0.5j, 0.3 - 0.9j])
     zs = np.array(np.meshgrid(*[axis] * n_modes, indexing="ij")).reshape(n_modes, -1).T
     expected = [per_point_q(rho, z) for z in zs]
     np.testing.assert_allclose(fo.q_values(rho, zs), expected, rtol=1e-15, atol=0)
 
 
-@pytest.mark.parametrize("n_modes", [1, 2])
-def test_r_from_q_hessian_matches_the_nested_loop_hessian(n_modes):
-    spec, cutoff = ORACLE_CASES[n_modes]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rho = fo.gaussian_density(spec, cutoff)
+@pytest.mark.parametrize("density", [
+    lambda: oracle_density(1),
+    lambda: oracle_density(2),
+    # the rotated states have E R E != R and, in two modes, a cross block
+    # that is not symmetric: they tell z from z* and rho_{e_j,e_i} from
+    # rho_{e_i,e_j}
+    lambda: rotated_density(1, 0.7),
+    lambda: rotated_density(2, 0.7),
+    # a displaced state: the v v^T term carries 0.13 of its kernel
+    lambda: coherent_projector(0.3 + 0.2j, 40),
+], ids=["1", "2", "rotated-1m", "rotated-2m", "displaced-vacuum"])
+def test_r_from_q_hessian_matches_the_nested_loop_hessian(density):
+    rho = density()
     np.testing.assert_allclose(fo.r_from_q_hessian(rho),
                                per_point_r_from_q_hessian(rho), rtol=0, atol=1e-9)
 
@@ -314,8 +358,7 @@ def test_each_q_reader_builds_its_coherent_states_once(monkeypatch):
 
     rho = fo.gaussian_density(fo.PhysicalSpec("thermal", [LN2]), 40)
     fo.r_from_q_hessian(rho)
-    assert rows == [18]          # both steps: 1 + 4 + 4 points each
-    rows.clear()
+    assert rows == []            # it reads matrix elements of rho, not Q
     fo.derivative_identity_check(rho, 0.3 + 0.1j)
     assert rows == [9]           # the centre and eight stencil points
 
@@ -339,17 +382,24 @@ def test_q_of_rho_thermal_profile():
         assert abs(q - 0.5 * np.exp(-abs(z) ** 2 / 2)) < 1e-9
 
 
-def test_r_from_q_hessian_thermal():
-    rho = fo.gaussian_density(fo.PhysicalSpec("thermal", [LN2]), 40)
+@pytest.mark.parametrize("omega", [LN2, 20.0], ids=["ln2", "vacuum-limit"])
+def test_r_from_q_hessian_thermal(omega):
+    rho = fo.gaussian_density(fo.PhysicalSpec("thermal", [omega]), 40)
     R = fo.r_from_q_hessian(rho)
-    np.testing.assert_allclose(R.real, 0.5 * structured("E", 1), atol=1e-6)
-    assert np.abs(R.imag).max() < 1e-6
+    assert np.abs(R - (1 - np.exp(-omega)) * structured("E", 1)).max() <= 1e-12
 
 
-def test_r_from_q_hessian_vacuum_limit():
-    rho = fo.gaussian_density(fo.PhysicalSpec("thermal", [20.0]), 40)
-    R = fo.r_from_q_hessian(rho)
-    np.testing.assert_allclose(R.real, structured("E", 1), atol=1e-5)
+def test_r_from_q_hessian_refuses_a_cutoff_without_two_excitations():
+    with pytest.raises(ValueError, match="cutoff must be >= 3"):
+        fo.r_from_q_hessian(fo.FockOperator(1, 2, np.diag([1.0, 0.0])))
+
+
+@pytest.mark.parametrize("n_modes", [1, 2])
+def test_r_from_q_hessian_is_the_negated_published_kernel(n_modes):
+    spec = ORACLE_CASES[n_modes][0]
+    published = kernels.make_squeezed_thermal(spec.omegas, spec.squeezes)
+    R = fo.r_from_q_hessian(oracle_density(n_modes))
+    assert np.abs(R + kernels.ensure_form(published, "R")).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +420,16 @@ def test_liouville_squeezing_excites_vacuum():
     a = fo.annihilator(1, 1, D).matrix
     n_mean = np.trace(rho_t.matrix @ (a.conj().T @ a)).real
     assert abs(n_mean - np.sinh(0.5) ** 2) < 1e-6
+
+
+@pytest.mark.parametrize("n_modes,t", [(1, 0.5), (2, 0.7)])
+def test_literal_flow_matches_the_oracle_under_passive_h(n_modes, t):
+    # the paper's flow (variant b) is exact for number-conserving H; the
+    # active H = I of acceptance criterion 9 is where it fails
+    spec, _, H = ROTATED_CASES[n_modes]
+    R0 = kernels.ensure_form(kernels.make_squeezed_thermal(spec.omegas, spec.squeezes), "R")
+    R_flow = dynamics.normal_propagate(R0, H, t, "b")
+    assert np.abs(-R_flow - fo.r_from_q_hessian(rotated_density(n_modes, t))).max() <= 1e-12
 
 
 def test_liouville_preserves_purity():
