@@ -116,11 +116,10 @@ def cmd_evolve(args) -> int:
     )
     final_path = args.output + ".final.json"
     stateio.write_state(final_path, final_state, form)
-    rep = dynamics.invariants_report(traj)
     print(f"wrote {len(traj.times)}-row trajectory to {args.output}")
     print(f"final state: {final_path}")
-    sympl = rep.max_symplectic_residual
-    print(f"max det drift {rep.max_det_drift:.3e}" + (
+    sympl = traj.max_symplectic_residual
+    print(f"max det drift {traj.max_det_drift:.3e}" + (
         "" if sympl is None else f"; max symplectic residual {sympl:.3e}"))
     return EXIT_OK
 
@@ -224,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn", default="q", choices=tuple(_FN_NAMES))
     p.add_argument("--grid", default="-2:2:41")
     p.add_argument("--convention", default=kernels.CALIBRATED,
-                   choices=tuple(bridge.CONVENTIONS))
+                   choices=tuple(bridge.CONVENTIONS),
+                   help="Husimi convention; read only by --fn q")
     p.add_argument("--check-norm", action="store_true",
                    help="print the Husimi normalization; read only by --fn q")
     p.add_argument("-o", "--output", required=True)

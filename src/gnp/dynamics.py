@@ -10,22 +10,23 @@ symmetric and J^T = -J, the three generators B are
                          when J H = H J
 
 The module holds the closed-form propagators, a fixed-step RK4 reference
-integrator, invariant monitoring and the audits that discriminate the
-ordering/convention ambiguities of the closed forms.  A stack of m times is
-one unit: its propagators come from one exponential of the (m, d, d) stack
-B t, and a Trajectory holds (m,) and (m, d, d) arrays.
+integrator, trajectories that carry their invariants and the audits that
+discriminate the ordering/convention ambiguities of the closed forms.  A
+stack of m times is one unit: its propagators come from one exponential of
+the (m, d, d) stack B t, and a Trajectory holds (m,) and (m, d, d) arrays.
 
 On row-major vec(X) the flow is x-dot = L x with L = B (x) I + I (x) B, so
 RK4 is one precomputed increment D, x <- x + D x, applied at every step with
-a compensated (Kahan) sum.  Every trajectory logs its det drift; only one
-that applied propagators S (a closed form, of any flow) logs a symplectic
-residual, that of those S.
+a compensated (Kahan) sum.  Whoever builds a Trajectory, it refuses a
+non-finite kernel, then takes its dets and their drift from the first; only
+one that applied propagators S (a closed form, of any flow) logs a
+symplectic residual, that of those S, after that guard.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,12 +76,40 @@ class Propagator:
 
 @dataclass
 class Trajectory:
+    """Kernel stack of a flow, its invariants computed at construction.
+    Raises ValueError for an empty stack and NumericalError naming the first
+    step with a non-finite kernel."""
+
     kind: str                       # "covariance" or "normal"
     H: np.ndarray
     times: np.ndarray               # (m,)
     kernels: np.ndarray             # (m, d, d)
-    det_drift: np.ndarray | None = None            # (m,), from kernels[0]
     symplectic_residual: np.ndarray | None = None  # (m,), of the applied S
+    dets: np.ndarray = field(init=False)       # (m,) complex, of kernels as given
+    det_drift: np.ndarray = field(init=False)  # (m,), from dets[0], relative
+
+    def __post_init__(self):
+        X = self.kernels = np.asarray(self.kernels)
+        if len(X) == 0:
+            raise ValueError("empty trajectory")
+        finite = np.isfinite(X).all(axis=(1, 2))
+        if not finite.all():
+            raise NumericalError(f"non-finite kernel at step {int(np.argmin(finite))}")
+        self.dets = np.linalg.det(X).astype(complex)
+        diff = self.dets - self.dets[0]
+        # hypot, not np.abs: it rounds |z| as Python's abs(complex) does
+        self.det_drift = np.hypot(diff.real, diff.imag) / max(abs(self.dets[0]), 1e-300)
+
+    # Python's max skips NaN rows of an overflowed kernel after the first;
+    # max_symplectic_residual is None when the trajectory logs none
+    @property
+    def max_det_drift(self) -> float:
+        return float(max(self.det_drift.tolist()))
+
+    @property
+    def max_symplectic_residual(self) -> float | None:
+        return None if self.symplectic_residual is None \
+            else float(max(self.symplectic_residual.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -178,62 +207,31 @@ def integrate_rk4(kind: str, X0, H, t_end: float, steps: int) -> Trajectory:
             dx = D @ x[k] - c
             x[k + 1] = x[k] + dx
             c = (x[k + 1] - x[k]) - dx
-    return _logged(kind, H, np.arange(steps + 1) * h, x.reshape(steps + 1, d, d))
+    return Trajectory(kind, H, np.arange(steps + 1) * h, x.reshape(steps + 1, d, d))
 
 
 def closed_form_trajectory(kind: str, X0, H, t_end: float, steps: int,
                            variant: str = "b") -> Trajectory:
-    """Closed-form flow at max(2, steps + 1) equally spaced times, or at
-    t = 0 alone when t_end = 0; `variant`: normal flow.  Logs the det drift
-    and the symplectic residual of each applied S.  Raises NumericalError
-    naming the first step with a non-finite kernel."""
+    """Closed-form flow at steps + 1 equally spaced times, or at t = 0 alone
+    when t_end = 0; `variant`: normal flow.  Logs the symplectic residual of
+    each applied S.  Raises NumericalError naming the first step with a
+    non-finite kernel."""
     flow = _flow_of(kind, variant)
-    times = np.linspace(0.0, t_end, max(2, steps + 1)) \
-        if t_end > 0 else np.array([0.0])
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    times = np.linspace(0.0, t_end, steps + 1) if t_end > 0 else np.array([0.0])
     S = _propagators(flow, H, times)
-    # a finite S can still overflow S X0 S^T; _logged names the first such time
+    # a finite S can still overflow S X0 S^T; Trajectory names the first such time
     with np.errstate(over="ignore", invalid="ignore"):
         X = _apply(S, X0)
-    return _logged(kind, H, times, X, S)
-
-
-def _logged(kind: str, H, times, X: np.ndarray, S=None) -> Trajectory:
-    """Trajectory of the kernel stack X (m, d, d) at `times`, logging each
-    kernel's det drift from X[0] and, given the propagators S (m, d, d)
-    that made X, their symplectic residuals.  Raises NumericalError naming
-    the first step with a non-finite kernel."""
-    finite = np.isfinite(X).all(axis=(1, 2))
-    if not finite.all():
-        raise NumericalError(f"non-finite kernel at step {int(np.argmin(finite))}")
-    dets = np.linalg.det(X)
-    diff = dets - dets[0]
-    # hypot, not np.abs: it rounds |z| as Python's abs(complex) does
-    drift = np.hypot(diff.real, diff.imag) / max(abs(dets[0]), 1e-300)
-    return Trajectory(kind=kind, H=H, times=times, kernels=X, det_drift=drift,
-                      symplectic_residual=None if S is None
-                      else matcore.symplectic_residuals(S))
+    traj = Trajectory(kind, H, times, X)
+    # after the finiteness guard: S of an overflowed run is never measured
+    traj.symplectic_residual = matcore.symplectic_residuals(S)
+    return traj
 
 
 # ---------------------------------------------------------------------------
 # reports
-
-@dataclass
-class InvariantsReport:
-    max_det_drift: float
-    max_symplectic_residual: float | None    # None when the trajectory logs none
-
-
-def invariants_report(traj: Trajectory) -> InvariantsReport:
-    """Conservation report: the largest det drift along the flow and, if
-    logged, the largest symplectic residual of the applied propagators."""
-    if len(traj.times) == 0:
-        raise ValueError("empty trajectory")
-    # Python's max skips NaN rows of an overflowed kernel after the first
-    sympl = None if traj.symplectic_residual is None \
-        else float(max(traj.symplectic_residual.tolist()))
-    return InvariantsReport(max_det_drift=float(max(traj.det_drift.tolist())),
-                            max_symplectic_residual=sympl)
-
 
 @dataclass
 class OrderingAuditReport:

@@ -2,7 +2,8 @@
 
 Complex entries are serialized as [re, im] pairs; floats are printed via
 repr (shortest round-trip), so every file round-trips through its own
-reader bit-exactly.
+reader bit-exactly.  A trajectory CSV writes the dets and det drift that
+its Trajectory computed at construction; this module takes no det.
 """
 
 from __future__ import annotations
@@ -111,17 +112,16 @@ def read_hamiltonian(path) -> QuadraticHamiltonian:
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """Trajectory CSV: t, kernel entries re/im interleaved row-major, det,
-    and the invariant residuals the trajectory logs (its fields not None)."""
-    K = np.asarray(traj.kernels)
+    """Trajectory CSV: t, kernel entries re/im interleaved row-major, the
+    trajectory's dets and det drift, and its symplectic residual if logged."""
+    K = traj.kernels
     m, dim = K.shape[0], K.shape[-1]
     logged = {k: v for k in ("det_drift", "symplectic_residual")
               if (v := getattr(traj, k)) is not None}
     cols = ["t"] + [f"k{i}{j}_{part}" for i in range(dim) for j in range(dim)
                     for part in ("re", "im")] + ["det_re", "det_im", *logged]
-    dets = np.linalg.det(K).astype(complex)      # of the kernels as given
     table = np.column_stack([traj.times, K.astype(complex).reshape(m, -1).view(float),
-                             dets.real, dets.imag, *logged.values()])
+                             traj.dets.real, traj.dets.imag, *logged.values()])
     lines = [f"# kind={traj.kind}", ",".join(cols)]
     lines += [",".join(map(repr, row)) for row in table.tolist()]
     return "\n".join(lines) + "\n"

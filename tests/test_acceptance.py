@@ -102,7 +102,7 @@ def test_criterion_05_determinant_conservation(report_line):
         det_t = matcore.determinant(dynamics.normal_propagate(R0, H, t, "b"))
         worst_closed = max(worst_closed, abs(det_t - det0) / abs(det0))
     traj = dynamics.integrate_rk4("normal", R0, H, 2.0, 2000)
-    worst_rk4 = dynamics.invariants_report(traj).max_det_drift
+    worst_rk4 = traj.max_det_drift
     ok = worst_closed <= 1e-10 and worst_rk4 <= 1e-8
     report_line(5, "det R conservation (closed then rk4)",
             max(worst_closed, worst_rk4), 1e-8, ok)

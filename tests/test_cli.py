@@ -362,6 +362,29 @@ def test_evolve_prints_a_residual_only_where_measured(method, form, evolve_files
         assert 0 < float(residual) < 1e-10 and header[-1] == "symplectic_residual"
 
 
+@pytest.mark.parametrize("method", ["closed", "rk4"])
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_evolve_with_fewer_than_one_step_exits_1(method, steps, evolve_files,
+                                                 tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert cli.main(["evolve", evolve_files["R"], "--ham", evolve_files["h1"],
+                     "--t", "1", "--method", method, "--steps", steps,
+                     "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "error: steps must be >= 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["closed", "rk4"])
+def test_evolve_takes_the_dets_once(method, evolve_files, tmp_path, monkeypatch):
+    calls = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(1) or det(a))
+    assert cli.main(["evolve", evolve_files["R"], "--ham", evolve_files["h1"],
+                     "--t", "1", "--method", method,
+                     "-o", str(tmp_path / "t.csv")]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("command", [
     ["evolve", "--t", "1", "-o", "out.csv"],
     ["audit", "-o", "out.json"],

@@ -1,5 +1,7 @@
 """Covariance and normal-product flows: closed forms, RK4, audits."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -225,7 +227,7 @@ def test_closed_form_logs_a_small_symplectic_residual_for_every_flow(n):
         X0, H = rk4_input(kind, n, np.random.default_rng([96, n]))
         traj = dynamics.closed_form_trajectory(kind, X0, H, 1.0, 1000, variant)
         assert traj.symplectic_residual.shape == (1001,)
-        assert dynamics.invariants_report(traj).max_symplectic_residual < 1e-10, flow
+        assert traj.max_symplectic_residual < 1e-10, flow
 
 
 def test_rk4_makes_no_exponential_for_either_kind(monkeypatch):
@@ -263,23 +265,72 @@ def test_rk4_rejects_bad_inputs():
         dynamics.integrate_rk4("normal", np.eye(2), np.eye(2), 1.0, 0)
 
 
+@pytest.mark.parametrize("steps", [0, -3])
+@pytest.mark.parametrize("t_end", [1.0, 0.0])
+def test_closed_form_rejects_fewer_than_one_step(steps, t_end):
+    with pytest.raises(ValueError, match="^steps must be >= 1$"):
+        dynamics.closed_form_trajectory("normal", thermal_r(), np.eye(2), t_end, steps)
+
+
 def test_det_conserved_along_normal_flow():
     rng = np.random.default_rng(79)
     R0 = kernels.g_to_r(random_valid_g(1, rng))
     H = random_symmetric(2, rng)
     traj = dynamics.integrate_rk4("normal", R0, H, 2.0, 2000)
-    rep = dynamics.invariants_report(traj)
-    assert rep.max_det_drift < 1e-8
+    assert traj.max_det_drift < 1e-8
 
 
-def test_invariants_report_symplectic_residual():
+def test_max_symplectic_residual_only_where_logged():
     st = kernels.make_thermal([1.0])
     for kind, form in (("covariance", "sigma"), ("normal", "R")):
         X0 = kernels.ensure_form(st, form)
         rk4 = dynamics.integrate_rk4(kind, X0, np.eye(2), 0.5, 50)
-        assert dynamics.invariants_report(rk4).max_symplectic_residual is None
+        assert rk4.max_symplectic_residual is None
         closed = dynamics.closed_form_trajectory(kind, X0, np.eye(2), 0.5, 50)
-        assert dynamics.invariants_report(closed).max_symplectic_residual < 1e-10
+        assert closed.max_symplectic_residual < 1e-10
+
+
+def test_maxima_skip_nan_rows_after_the_first():
+    traj = dynamics.Trajectory("normal", np.eye(2), [0.0, 1.0, 2.0],
+                               [thermal_r()] * 3)
+    traj.det_drift = np.array([0.0, np.nan, 1e-3])
+    traj.symplectic_residual = np.array([1e-16, np.nan, 2e-16])
+    assert traj.max_det_drift == 1e-3
+    assert traj.max_symplectic_residual == 2e-16
+
+
+def test_caller_built_trajectory_carries_its_invariants():
+    R0 = thermal_r()
+    traj = dynamics.Trajectory("normal", np.eye(2), [0.0, 1.0],
+                               [R0.real, 2.0 * R0.real])
+    assert traj.kernels.dtype == float and traj.dets.dtype == complex
+    assert traj.dets.tolist() == [complex(np.linalg.det(R0.real)),
+                                  complex(np.linalg.det(2.0 * R0.real))]
+    assert traj.det_drift.tolist() == [0.0, 3.0]
+    assert traj.symplectic_residual is None
+
+
+def test_empty_trajectory_is_refused():
+    with pytest.raises(ValueError, match="^empty trajectory$"):
+        dynamics.Trajectory("normal", np.eye(2), [], [])
+
+
+def test_caller_built_non_finite_kernel_names_its_step():
+    R0 = thermal_r()
+    bad = R0.copy()
+    bad[1, 0] = np.inf
+    with pytest.raises(matcore.NumericalError, match="^non-finite kernel at step 2$"):
+        dynamics.Trajectory("normal", np.eye(2), [0.0, 1.0, 2.0, 3.0],
+                            [R0, R0, bad, R0])
+
+
+def test_closed_form_overflow_measures_no_propagator():
+    # the symplectic residual is taken after the finiteness guard, so an
+    # overflowing run raises before any product of its grown S can warn
+    R0 = kernels.ensure_form(kernels.make_thermal([1.3]), "R")
+    with warnings.catch_warnings(), pytest.raises(matcore.NumericalError):
+        warnings.simplefilter("error")
+        dynamics.closed_form_trajectory("normal", R0, OVERFLOW_H, 200.0, 100)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ characteristic function under both conventions, an unknown convention) on
 four grids on every one-mode file, and one default phase per two-mode file;
 evolve closed (both variants, 100 and 1000 steps) and RK4 (100 and 200
 steps) on the sigma and R files and on three-mode thermal omega =
-0.6/1.0/1.5 ones at t = 0, 0.7 and 2, plus error, one-step and overflowing
-runs; audit on every file but the three-mode ones, on a stationary kernel,
+0.6/1.0/1.5 ones at t = 0, 0.7 and 2, plus error, one-step, zero- and
+negative-step (both methods) and overflowing runs; audit on every file but the three-mode ones, on a stationary kernel,
 at t = 60, with --with-oracle at --cutoff 30 and at the default cutoff, and
 once with a Hamiltonian of the wrong mode count.
 """
@@ -122,6 +122,9 @@ def commands(modes: dict) -> list:
         ["evolve", "missing.json", "--ham", "h1.json", "--t", "1", "-o", "out.csv"],
         ["evolve", "t1_sigma.json", "--ham", "h1.json", "--t", "1",
          "--method", "rk4", "--steps", "1", "-o", "out.csv"],
+        *[["evolve", "t1_R.json", "--ham", "h1.json", "--t", "1",
+           "--method", method, "--steps", steps, "-o", "out.csv"]
+          for method in ("closed", "rk4") for steps in ("0", "-3")],
         ["evolve", "t1_R.json", "--ham", "hgrow.json", "--t", "90", "-o", "out.csv"],
         ["evolve", "t1_R.json", "--ham", "hgrow.json", "--t", "200", "-o", "out.csv"],
         ["evolve", "t1_R.json", "--ham", "hgrow.json", "--t", "200",
