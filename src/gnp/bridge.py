@@ -45,12 +45,12 @@ R_MAPS = {
     "negate-conjugate-by-E": lambda R: -_conjugate("E", R),
 }
 
-# name -> prefactor of a (mapped) complex kernel
+# name -> prefactor of a (mapped) complex kernel R, given det R
 PREFACTOR_RULES = {
-    "sqrt-det-R": lambda R: complex(np.sqrt(matcore.determinant(R))),
-    "sqrt-det-ER": lambda R: complex(np.sqrt(matcore.determinant(
+    "sqrt-det-R": lambda R, det_R: complex(np.sqrt(det_R)),
+    "sqrt-det-ER": lambda R, det_R: complex(np.sqrt(matcore.determinant(
         structured("E", R.shape[0] // 2) @ R))),
-    "trace-normalized": lambda R: complex(1.0 / trace_of_normal_exponential(R)),
+    "trace-normalized": lambda R, det_R: complex(1.0 / trace_of_normal_exponential(R)),
 }
 
 
@@ -95,9 +95,10 @@ def resolve_convention(R, name: str) -> tuple[complex, np.ndarray]:
     convention's prefactor rule evaluated on the mapped kernel."""
     row = convention(name)
     R = apply_r_map(R, row.r_map)
-    if abs(matcore.determinant(R)) < 1e-300:
+    det_R = matcore.determinant(R)
+    if abs(det_R) < 1e-300:
         raise NumericalError("singular R: det R = 0")
-    return PREFACTOR_RULES[row.prefactor_rule](R), R
+    return PREFACTOR_RULES[row.prefactor_rule](R, det_R), R
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +209,10 @@ def calibrate(cutoff: int = DEFAULT_CUTOFF) -> CalibrationReport:
         )
     r_map = winners[0][0]
 
+    dets = [matcore.determinant(Rm) for Rm in mapped[r_map]]
     for rule in PREFACTOR_RULES:
-        res = max(abs(PREFACTOR_RULES[rule](Rm) - q0)
-                  for Rm, q0 in zip(mapped[r_map], q_origins))
+        res = max(abs(PREFACTOR_RULES[rule](Rm, det) - q0)
+                  for Rm, det, q0 in zip(mapped[r_map], dets, q_origins))
         report.prefactor_residuals[rule] = float(res)
     passing = [r for r in PREFACTOR_RULES
                if report.prefactor_residuals[r] <= PREFACTOR_TOL]

@@ -1,12 +1,12 @@
 """Independent truncated Fock-space ground truth.
 
-Dense ladder and quadratic operators, Gaussian densities built as normalized
-exponentials, Liouville evolution, stacked coherent states read by one
-Husimi evaluator `q_values`, and the physical normal-product kernel as the
-exact log-Hessian of Q at the origin, read from the matrix elements of rho
-with at most two excitations.  Nothing here depends on the kernel-algebra
-formulas it is used to verify; the only shared ingredient is plain linear
-algebra.
+Dense ladder and quadratic operators, Gaussian densities built as tensor
+products of normalized exponentials (one per group of coupled modes),
+Liouville evolution, stacked coherent states read by one Husimi evaluator
+`q_values`, and the physical normal-product kernel as the exact log-Hessian
+of Q at the origin, read from the matrix elements of rho with at most two
+excitations.  Nothing here depends on the kernel-algebra formulas it is used
+to verify; the only shared ingredient is plain linear algebra.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .matcore import structured
 
 TAIL_WARN = 1e-8
 TAIL_ERROR = 1e-4
-PAD = 8                # extra levels under the exponent of gaussian_density
+PAD = 8                # extra levels per mode under gaussian_density's exponents
 DERIVATIVE_STEP = 1e-3  # stencil step of derivative_identity_check
 
 
@@ -157,26 +157,59 @@ def _hermitian_function(op: FockOperator, f, error: str) -> np.ndarray:
     return (V * f(w)) @ V.conj().T
 
 
-def gaussian_density(spec: PhysicalSpec, cutoff: int) -> FockOperator:
-    """rho = e^{-G-hat} / Tr e^{-G-hat} with G-hat = (1/2) A^T kernel A.
+def _mode_groups(kernel) -> list[tuple[int, ...]]:
+    """Connected groups of the modes a 2n x 2n kernel couples, in mode order.
 
-    The exponent is assembled on a space padded by PAD extra levels and the
-    result projected back, so the top retained level carries its physical
-    population rather than the artifact of cutting the quadratic generator
-    (which zeroes a a^+ on the last level and under-penalizes it).
+    Modes i and j are coupled when any of the four entries between
+    (a_i, a_i^+) and (a_j, a_j^+) is nonzero.
     """
-    n = spec.operator_kernel.shape[0] // 2
+    n = len(kernel) // 2
+    coupled = (np.asarray(kernel).reshape(2, n, 2, n) != 0).any(axis=(0, 2))
+    reach = coupled | coupled.T | np.eye(n, dtype=bool)
+    for _ in range(n):                      # transitive closure
+        reach = (reach.astype(int) @ reach) > 0
+    return sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})
+
+
+def _padded_density(kernel, cutoff: int) -> np.ndarray:
+    """e^{-G-hat} normalised on a space padded by PAD levels per mode, cut
+    back to its top-left cutoff^m block and renormalised."""
+    m = len(kernel) // 2
     big = cutoff + PAD
     rho = _hermitian_function(
-        quad_operator(spec.operator_kernel, big),
+        quad_operator(kernel, big),
         lambda w: np.exp(-(w - w.min())),    # shift for overflow safety
         "physical kernel produced a non-Hermitian exponent")
     rho /= np.trace(rho).real
-    # keep the top-left cutoff^n tensor block
-    rho = rho.reshape((big,) * (2 * n))[(slice(cutoff),) * (2 * n)]
-    rho = rho.reshape(cutoff ** n, cutoff ** n)
-    rho = rho / np.trace(rho).real
-    op = FockOperator(n_modes=n, cutoff=cutoff, matrix=rho)
+    rho = rho.reshape((big,) * (2 * m))[(slice(cutoff),) * (2 * m)]
+    rho = rho.reshape(cutoff ** m, cutoff ** m)
+    return rho / np.trace(rho).real
+
+
+def gaussian_density(spec: PhysicalSpec, cutoff: int) -> FockOperator:
+    """rho = e^{-G-hat} / Tr e^{-G-hat} with G-hat = (1/2) A^T kernel A.
+
+    G-hat is a sum of commuting terms, one per connected group of coupled
+    modes, so e^{-G-hat} is the tensor product of one exponential per group.
+    Each group's exponent is assembled on a space padded by PAD extra levels
+    per mode and the result projected back, so the top retained level carries
+    its physical population rather than the artifact of cutting the quadratic
+    generator (which zeroes a a^+ on the last level and under-penalizes it).
+    A kernel that couples every mode is one group: one exponential on the
+    padded (cutoff + PAD)^n space.
+    """
+    kernel = spec.operator_kernel
+    n = len(kernel) // 2
+    operands = []
+    for group in _mode_groups(kernel):
+        # the kernel rows of the group's a_i and a_i^+, which are also the
+        # bra and ket axes of its modes in rho
+        axes = list(group) + [n + i for i in group]
+        block = _padded_density(kernel[np.ix_(axes, axes)], cutoff)
+        operands += [block.reshape((cutoff,) * len(axes)), axes]
+    rho = np.einsum(*operands, list(range(2 * n)))
+    op = FockOperator(n_modes=n, cutoff=cutoff,
+                      matrix=rho.reshape(cutoff ** n, cutoff ** n))
     _check_tail(op, "gaussian_density")
     return op
 

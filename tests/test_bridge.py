@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gnp import bridge, fockoracle, kernels
+from gnp import bridge, fockoracle, kernels, matcore
 from gnp.errors import NumericalError
 from gnp.matcore import structured
 
@@ -70,8 +70,9 @@ def calibrate_per_map(cutoff):
         else:
             groups.append([name])
     [r_map] = [g[0] for g in groups if kernel[g[0]] <= bridge.ACCEPT_TOL]
-    prefactor = {rule: float(max(abs(f(bridge.apply_r_map(Rp, r_map)) - q0)
-                                 for Rp, q0 in zip(published, q0s)))
+    mapped = [bridge.apply_r_map(Rp, r_map) for Rp in published]
+    prefactor = {rule: float(max(abs(f(Rm, np.linalg.det(Rm)) - q0)
+                                 for Rm, q0 in zip(mapped, q0s)))
                  for rule, f in bridge.PREFACTOR_RULES.items()}
     assert prefactor["trace-normalized"] <= bridge.PREFACTOR_TOL
     selected = bridge.ConventionBridge(r_map, "trace-normalized", kernel[r_map])
@@ -124,7 +125,8 @@ def test_default_bridge_matches_calibration(report):
         N, mapped = bridge.resolve_convention(R, kernels.CALIBRATED)
         expected = bridge.R_MAPS[report.selected.r_map](R)
         np.testing.assert_array_equal(mapped, expected)
-        assert N == bridge.PREFACTOR_RULES[report.selected.prefactor_rule](expected)
+        assert N == bridge.PREFACTOR_RULES[report.selected.prefactor_rule](
+            expected, np.linalg.det(expected))
 
 
 def test_resolve_convention_checks_the_name_before_det_r():
@@ -134,6 +136,19 @@ def test_resolve_convention_checks_the_name_before_det_r():
     for name in bridge.CONVENTIONS:
         with pytest.raises(NumericalError, match="det R = 0"):
             bridge.resolve_convention(singular, name)
+
+
+def test_as_published_resolution_takes_det_r_once(monkeypatch):
+    # the singularity check and the rule sqrt-det-R read one determinant
+    calls = []
+    determinant = matcore.determinant
+    monkeypatch.setattr(matcore, "determinant",
+                        lambda M: calls.append(np.array(M)) or determinant(M))
+    R = kernels.ensure_form(bridge.calibration_suite()[3][1], "R")
+    N, mapped = bridge.resolve_convention(R, kernels.AS_PUBLISHED)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], mapped)
+    assert N == complex(np.sqrt(np.linalg.det(mapped)))
 
 
 def test_convention_table_has_the_two_rows_in_order():

@@ -1,7 +1,6 @@
 """Truncated Fock-space oracle: operators, densities, Q values, identities."""
 
 import ast
-import functools
 import warnings
 from pathlib import Path
 
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 from gnp import dynamics, fockoracle as fo, kernels
-from gnp.errors import TruncationError
+from gnp.errors import DomainError, TruncationError
 from gnp.matcore import structured
 
 LN2 = np.log(2.0)
@@ -128,18 +127,98 @@ def test_thermal_spec_is_the_unsqueezed_conjugation():
         assert np.array_equal(thermal.operator_kernel, zero.operator_kernel)
 
 
-def test_two_mode_density_is_the_masked_block_of_the_padded_density():
-    spec = fo.PhysicalSpec("squeezed-thermal", [1.7, 2.1], [0.2, 0.1])
-    cutoff = 12
+def dense_padded_density(K, cutoff):
+    """One dense exponential of (1/2) A^T K A on the padded (cutoff + PAD)^n
+    space, normalised, cut back to the cutoff and renormalised."""
+    n = len(K) // 2
     big = cutoff + fo.PAD
-    w, V = np.linalg.eigh(dense_quad_operator(spec.operator_kernel, big))
+    w, V = np.linalg.eigh(dense_quad_operator(K, big))
     rho_big = (V * np.exp(-(w - w.min()))) @ V.conj().T
     rho_big /= np.trace(rho_big).real
-    idx = np.arange(big ** 2)
-    keep = (idx // big < cutoff) & (idx % big < cutoff)
+    keep = (np.indices((big,) * n).reshape(n, -1) < cutoff).all(axis=0)
     expected = rho_big[np.ix_(keep, keep)]
     expected /= np.trace(expected).real
-    assert np.array_equal(fo.gaussian_density(spec, cutoff).matrix, expected)
+    return expected
+
+
+def beam_split(spec, i, j, theta):
+    """The spec with its kernel conjugated by a real beam-splitter symplectic
+    that mixes modes i and j (0-based): a -> U a, a^+ -> U a^+."""
+    U = np.eye(len(spec.omegas))
+    U[[i, j], [i, j]] = np.cos(theta)
+    U[i, j], U[j, i] = np.sin(theta), -np.sin(theta)
+    S = np.kron(np.eye(2), U)
+    spec.operator_kernel = S.T @ spec.operator_kernel @ S
+    return spec
+
+
+def test_two_mode_density_is_the_masked_block_of_the_padded_density():
+    # a separable kernel is built as one exponential per mode and a product;
+    # it matches the dense build of both modes to rounding (measured 9.0e-16)
+    spec = fo.PhysicalSpec("squeezed-thermal", [1.7, 2.1], [0.2, 0.1])
+    cutoff = 12
+    expected = dense_padded_density(spec.operator_kernel, cutoff)
+    assert np.abs(fo.gaussian_density(spec, cutoff).matrix - expected).max() <= 1e-14
+
+
+def test_a_kernel_coupling_every_mode_is_the_dense_padded_density():
+    spec = beam_split(fo.PhysicalSpec("squeezed-thermal", [1.7, 2.1], [0.2, 0.1]),
+                      0, 1, 0.4)
+    assert fo._mode_groups(spec.operator_kernel) == [(0, 1)]
+    cutoff = 12
+    assert np.array_equal(fo.gaussian_density(spec, cutoff).matrix,
+                          dense_padded_density(spec.operator_kernel, cutoff))
+
+
+@pytest.mark.parametrize("entries,groups", [
+    ([], [(0,), (1,), (2,), (3,)]),
+    ([(0, 6)], [(0, 2), (1,), (3,)]),                # a_1 a_3^+
+    ([(5, 3), (7, 0)], [(0, 1, 3), (2,)]),           # a_2^+ a_4, a_4^+ a_1
+    ([(1, 0), (6, 7)], [(0, 1), (2, 3)]),            # a_2 a_1, a_3^+ a_4^+
+], ids=["free", "one-pair", "chain", "two-pairs"])
+def test_mode_groups_follow_every_coupling_block(entries, groups):
+    K = np.diag(np.arange(1.0, 9.0))                 # four modes
+    for i, j in entries:
+        K[i, j] = 0.1
+    assert fo._mode_groups(K) == groups
+
+
+def test_groups_land_on_their_mode_axes():
+    # modes 1 and 3 coupled, mode 2 free: the free group sits between the
+    # two axes of the coupled one
+    cutoff = 7
+    omegas, rs = [3.5, 2.8, 4.0], [0.1, -0.2, 0.15]
+    spec = beam_split(fo.PhysicalSpec("squeezed-thermal", omegas, rs), 0, 2, 0.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rho = fo.gaussian_density(spec, cutoff).matrix
+        free = fo.gaussian_density(
+            fo.PhysicalSpec("squeezed-thermal", omegas[1:2], rs[1:2]), cutoff).matrix
+    assert abs(np.trace(rho) - 1.0) <= 1e-14
+    assert np.abs(rho - rho.conj().T).max() <= 1e-15
+    r = rho.reshape((cutoff,) * 6)              # r[m1, m2, m3, k1, k2, k3]
+    np.testing.assert_allclose(np.einsum("abcaec->be", r), free, rtol=0, atol=1e-15)
+    pair = [0, 2, 3, 5]
+    np.testing.assert_allclose(
+        np.einsum("abcdbf->acdf", r).reshape(cutoff ** 2, cutoff ** 2),
+        dense_padded_density(spec.operator_kernel[np.ix_(pair, pair)], cutoff),
+        rtol=0, atol=1e-15)
+
+
+def test_a_non_hermitian_exponent_in_one_group_raises():
+    spec = fo.PhysicalSpec("squeezed-thermal", [1.7, 2.1], [0.2, 0.1])
+    spec.operator_kernel[1, 1] += 0.3          # a_2 a_2 without a_2^+ a_2^+
+    with pytest.raises(DomainError,
+                       match="^physical kernel produced a non-Hermitian exponent$"):
+        fo.gaussian_density(spec, 8)
+
+
+def test_the_tail_guard_reads_the_product_of_the_groups():
+    # three one-mode groups at cutoff 8: their product reads 4.8e-4
+    with pytest.raises(TruncationError,
+                       match=r"^gaussian_density: tail mass 4\.8\d\de-04 > 1e-04$"):
+        fo.gaussian_density(ORACLE_CASES[3][0], 8)
+
 
 def test_thermal_density_bose_einstein_diagonal():
     D = 30
@@ -271,6 +350,8 @@ def per_point_r_from_q_hessian(rho):
 ORACLE_CASES = {
     1: (fo.PhysicalSpec("squeezed-thermal", [0.7], [0.4]), 40),
     2: (fo.PhysicalSpec("squeezed-thermal", [1.7, 2.1], [0.2, 0.1]), 20),
+    # at cutoff 10 the tail caps the kernel read at 1.2e-12
+    3: (fo.PhysicalSpec("squeezed-thermal", [1.7, 2.1, 1.3], [0.2, 0.1, -0.15]), 12),
 }
 
 
@@ -295,7 +376,6 @@ def rotated_density(n_modes, t):
         return fo.liouville_step(fo.gaussian_density(spec, cutoff), H, t)
 
 
-@functools.cache             # read-only; the two-mode build takes ~0.5 s
 def oracle_density(n_modes):
     spec, cutoff = ORACLE_CASES[n_modes]
     with warnings.catch_warnings():
@@ -394,7 +474,7 @@ def test_r_from_q_hessian_refuses_a_cutoff_without_two_excitations():
         fo.r_from_q_hessian(fo.FockOperator(1, 2, np.diag([1.0, 0.0])))
 
 
-@pytest.mark.parametrize("n_modes", [1, 2])
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
 def test_r_from_q_hessian_is_the_negated_published_kernel(n_modes):
     spec = ORACLE_CASES[n_modes][0]
     published = kernels.make_squeezed_thermal(spec.omegas, spec.squeezes)
