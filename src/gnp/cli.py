@@ -13,6 +13,7 @@ import functools
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__, bridge, dynamics, kernels, phasespace, stateio
 from .errors import DomainError, GnpError
@@ -30,13 +31,6 @@ def _digest(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
-def _echo_header(args, paths):
-    print(f"gnp {__version__}")
-    print("command: " + " ".join(args.argv))
-    for p in paths:
-        print(f"input {p} sha256[:16]={_digest(p)}")
-
-
 def _parse_grid(text: str):
     """'min:max:count' -> (lo, hi, count)."""
     parts = text.split(":")
@@ -46,23 +40,34 @@ def _parse_grid(text: str):
     return (lo, hi, count)
 
 
-def _read_state_and_hamiltonian(args):
-    """(state, form, ham) of args, header echoed; ValueError on a mode mismatch."""
+def _read_inputs(args):
+    """(state, form, ham or None) of args, header echoed; ValueError when the
+    Hamiltonian's mode count differs from the state's."""
+    ham_path = getattr(args, "ham", None)
     state, form = stateio.read_state(args.state)
-    ham = stateio.read_hamiltonian(args.ham)
-    _echo_header(args, [args.state, args.ham])
-    if ham.n_modes != state.n_modes:
+    ham = None if ham_path is None else stateio.read_hamiltonian(ham_path)
+    print(f"gnp {__version__}")
+    print("command: " + " ".join(args.argv))
+    for p in [args.state] if ham is None else [args.state, ham_path]:
+        print(f"input {p} sha256[:16]={_digest(p)}")
+    if ham is not None and ham.n_modes != state.n_modes:
         raise ValueError(f"the Hamiltonian has {ham.n_modes} mode(s), "
                          f"the state {state.n_modes}")
     return state, form, ham
+
+
+def _derived(state, form, M, note) -> kernels.GaussianState:
+    """A state holding the one kernel M, its provenance extended by note."""
+    return kernels.GaussianState(
+        n_modes=state.n_modes, forms={form: M},
+        provenance=(state.provenance + f" | {note}").strip(" |"))
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_validate(args) -> int:
-    state, form = stateio.read_state(args.state)
-    _echo_header(args, [args.state])
+    state, _, _ = _read_inputs(args)
     report = kernels.validate_state(state)
     for line in report.lines():
         print(line)
@@ -70,21 +75,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    state, form = stateio.read_state(args.state)
-    _echo_header(args, [args.state])
-    out_state = kernels.GaussianState(
-        n_modes=state.n_modes,
-        forms={args.to: kernels.ensure_form(state, args.to)},
-        provenance=(state.provenance + f" | converted {form}->{args.to}").strip(" |"),
-    )
+    state, form, _ = _read_inputs(args)
+    out_state = _derived(state, args.to, kernels.ensure_form(state, args.to),
+                         f"converted {form}->{args.to}")
     stateio.write_state(args.output, out_state, args.to)
     print(f"wrote {args.to}-form state to {args.output}")
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
-    state, _ = stateio.read_state(args.state)
-    _echo_header(args, [args.state])
+    state, _, _ = _read_inputs(args)
     G = kernels.ensure_form(state, "G")
     spec = kernels.symplectic_spectrum(G)
     for i, (om, nu) in enumerate(zip(spec.omegas, spec.nus), start=1):
@@ -93,7 +93,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    state, form, ham = _read_state_and_hamiltonian(args)
+    state, form, ham = _read_inputs(args)
     if args.t < 0:
         raise DomainError("evolution time must be nonnegative")
     kind = "covariance" if form == "sigma" else "normal"
@@ -108,12 +108,8 @@ def cmd_evolve(args) -> int:
     csv = stateio.trajectory_to_csv(traj)
     with open(args.output, "w") as fh:
         fh.write(csv)
-    final_state = kernels.GaussianState(
-        n_modes=state.n_modes,
-        forms={form: traj.kernels[-1]},
-        provenance=(state.provenance
-                    + f" | evolved {args.method} t={args.t}").strip(" |"),
-    )
+    final_state = _derived(state, form, traj.kernels[-1],
+                           f"evolved {args.method} t={args.t}")
     final_path = args.output + ".final.json"
     stateio.write_state(final_path, final_state, form)
     print(f"wrote {len(traj.times)}-row trajectory to {args.output}")
@@ -125,8 +121,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_phase(args) -> int:
-    state, _ = stateio.read_state(args.state)
-    _echo_header(args, [args.state])
+    state, _, _ = _read_inputs(args)
     if state.n_modes != 1:
         raise DomainError("phase grids are single-mode only")
     lo, hi, count = _parse_grid(args.grid)
@@ -144,22 +139,12 @@ def cmd_phase(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    state, _, ham = _read_state_and_hamiltonian(args)
+    state, _, ham = _read_inputs(args)
     R0 = kernels.ensure_form(state, "R")
     ordering = dynamics.ordering_audit(R0, ham.H, args.t)
     convention = dynamics.convention_audit(state, ham.H, args.t)
-    report = {
-        "tool": f"gnp {__version__}",
-        "ordering": {
-            "residuals": {k: float(v) for k, v in ordering.residuals.items()},
-            "consistent_variants": ordering.consistent_variants,
-            "vacuous": ordering.vacuous,
-        },
-        "convention": {
-            "residuals": {k: float(v) for k, v in convention.residuals.items()},
-            "note": convention.note,
-        },
-    }
+    report = {"tool": f"gnp {__version__}", "ordering": asdict(ordering),
+              "convention": asdict(convention)}
     if ordering.vacuous:
         print("ordering audit: vacuous (flow variants indistinguishable here)")
     else:
@@ -171,14 +156,9 @@ def cmd_audit(args) -> int:
         cal = bridge.calibrate(cutoff=args.cutoff)
         for line in cal.lines():
             print(line)
-        report["bridge"] = {
-            "r_map": cal.selected.r_map,
-            "prefactor_rule": cal.selected.prefactor_rule,
-            "residual": cal.selected.residual,
-            "kernel_residuals": cal.kernel_residuals,
-            "prefactor_residuals": {k: float(abs(v))
-                                    for k, v in cal.prefactor_residuals.items()},
-        }
+        report["bridge"] = {**asdict(cal.selected),
+                            "kernel_residuals": cal.kernel_residuals,
+                            "prefactor_residuals": cal.prefactor_residuals}
     with open(args.output, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")

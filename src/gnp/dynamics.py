@@ -212,14 +212,14 @@ def integrate_rk4(kind: str, X0, H, t_end: float, steps: int) -> Trajectory:
 
 def closed_form_trajectory(kind: str, X0, H, t_end: float, steps: int,
                            variant: str = "b") -> Trajectory:
-    """Closed-form flow at steps + 1 equally spaced times, or at t = 0 alone
-    when t_end = 0; `variant`: normal flow.  Logs the symplectic residual of
-    each applied S.  Raises NumericalError naming the first step with a
-    non-finite kernel."""
+    """Closed-form flow at steps + 1 equally spaced times from 0 to t_end
+    (backward for t_end < 0), or at t = 0 alone when t_end = 0; `variant`:
+    normal flow.  Logs the symplectic residual of each applied S.  Raises
+    NumericalError naming the first step with a non-finite kernel."""
     flow = _flow_of(kind, variant)
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    times = np.linspace(0.0, t_end, steps + 1) if t_end > 0 else np.array([0.0])
+    times = np.linspace(0.0, t_end, steps + 1) if t_end != 0 else np.array([0.0])
     S = _propagators(flow, H, times)
     # a finite S can still overflow S X0 S^T; Trajectory names the first such time
     with np.errstate(over="ignore", invalid="ignore"):

@@ -196,8 +196,10 @@ def gaussian_density(spec: PhysicalSpec, cutoff: int) -> FockOperator:
     its physical population rather than the artifact of cutting the quadratic
     generator (which zeroes a a^+ on the last level and under-penalizes it).
     A kernel that couples every mode is one group: one exponential on the
-    padded (cutoff + PAD)^n space.
+    padded (cutoff + PAD)^n space.  Raises ValueError for cutoff < 2.
     """
+    if cutoff < 2:
+        raise ValueError("cutoff must be >= 2")
     kernel = spec.operator_kernel
     n = len(kernel) // 2
     operands = []

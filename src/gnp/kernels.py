@@ -256,21 +256,22 @@ _CONVERTERS = {
 
 
 def ensure_form(state: GaussianState, form: str) -> np.ndarray:
-    """Return the requested kernel, converting from a stored form if needed."""
+    """Return the requested kernel, converting from a stored form if needed.
+
+    The source is the first stored form of sigma, G, R, C; it reaches every
+    other form directly or through sigma.
+    """
     if form not in FORMS:
         raise ValueError(f"unknown form {form!r}")
     if state.has(form):
         return state.forms[form]
-    for src in ("sigma", "G", "R", "C"):
-        if not state.has(src):
-            continue
-        if (src, form) in _CONVERTERS:
-            return _CONVERTERS[(src, form)](state.forms[src])
-        # two-step path through sigma
-        if (src, "sigma") in _CONVERTERS and ("sigma", form) in _CONVERTERS:
-            sigma = _CONVERTERS[(src, "sigma")](state.forms[src])
-            return _CONVERTERS[("sigma", form)](sigma)
-    raise ValueError(f"no conversion path to form {form!r} from {list(state.forms)}")
+    src = next((f for f in ("sigma", "G", "R", "C") if state.has(f)), None)
+    if src is None:
+        raise ValueError(f"no conversion path to form {form!r} from []")
+    X = state.forms[src]
+    if (src, form) not in _CONVERTERS:
+        X, src = _CONVERTERS[(src, "sigma")](X), "sigma"
+    return _CONVERTERS[(src, form)](X)
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +322,12 @@ def squeeze_symplectic(rs) -> np.ndarray:
 
 
 def make_thermal(omegas) -> GaussianState:
-    """Thermal normal form: G = diag(omega, omega) (the K-tilde block form)."""
+    """Thermal normal form G = diag(omega, omega): squeezed thermal at r = 0,
+    where S = I leaves G and sigma exactly diagonal."""
     omegas = _check_omegas(omegas)
-    G = np.diag(np.concatenate([omegas, omegas])).astype(complex)
-    nus = _eq9_ratio(omegas)
-    sigma = np.diag(np.concatenate([nus, nus])).astype(complex)
-    return GaussianState(
-        n_modes=len(omegas),
-        forms={"G": G, "sigma": sigma},
-        provenance=f"thermal(omegas={list(omegas)})",
-    )
+    state = make_squeezed_thermal(omegas, np.zeros_like(omegas))
+    state.provenance = f"thermal(omegas={list(omegas)})"
+    return state
 
 
 def make_squeezed_thermal(omegas, rs) -> GaussianState:
@@ -356,15 +353,15 @@ def make_squeezed_thermal(omegas, rs) -> GaussianState:
 # ---------------------------------------------------------------------------
 # trace of a normal-ordered Gaussian
 
-def _husimi_real_form(R) -> np.ndarray:
-    """Real 2n x 2n quadratic form of Re[(1/2) Z^T R Z] in (x, y) coordinates."""
+def husimi_decays(R) -> bool:
+    """Whether exp(-1/2 Z^T R Z) decays in every phase-space direction: the
+    real quadratic form of Re[(1/2) Z^T R Z] in (x, y) is positive definite."""
     R = np.asarray(R, dtype=complex)
     n = R.shape[0] // 2
     eye = np.eye(n)
     T = np.block([[eye, 1j * eye], [eye, -1j * eye]])  # Z = T (x, y)
     H = 0.5 * (T.T @ R @ T)
-    H = 0.5 * (H + H.T)
-    return H.real
+    return bool(np.linalg.eigvalsh(0.5 * (H + H.T).real).min() > 0)
 
 
 def trace_of_normal_exponential(R) -> float:
@@ -375,8 +372,7 @@ def trace_of_normal_exponential(R) -> float:
     """
     R = np.asarray(R, dtype=complex)
     n = R.shape[0] // 2
-    form = _husimi_real_form(R)
-    if np.linalg.eigvalsh(form).min() <= 0:
+    if not husimi_decays(R):
         raise DomainError("trace integrand does not decay (quadratic form not "
                           "positive definite); divergent Gaussian integral")
     E = structured("E", n)

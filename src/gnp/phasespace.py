@@ -131,26 +131,33 @@ def _husimi(N, R, Zs) -> np.ndarray:
     return N * np.exp(-0.5 * (Zs[:, None, :] @ R @ Zs[:, :, None])[:, 0, 0])
 
 
+def _at_point(state: GaussianState, function_kind: str, z,
+              convention: str) -> complex:
+    """One function value at the mode amplitudes z (n values)."""
+    z = np.atleast_1d(z)
+    if z.shape != (state.n_modes,):
+        raise ValueError(f"state has {state.n_modes} mode(s), "
+                         f"z {z.size} amplitude(s)")
+    return complex(_evaluate(state, function_kind, _z_stack([z]), convention)[0])
+
+
 def husimi_q(state: GaussianState, z, convention: str = AS_PUBLISHED) -> complex:
     """Husimi-Q value at the phase point with mode amplitudes z (n values).
 
     as-published: sqrt(det R) exp(-1/2 Z^T R Z) with the literal kernel.
     calibrated: bridge-mapped kernel with the trace-normalizing prefactor.
     """
-    return complex(_evaluate(state, "husimi", _z_stack([np.atleast_1d(z)]),
-                             convention)[0])
+    return _at_point(state, "husimi", z, convention)
 
 
 def wigner(state: GaussianState, z) -> complex:
     """W(Z) = det(sigma)^{-1/2} exp(-Z^dag sigma^-1 Z), literal form."""
-    return complex(_evaluate(state, "wigner", _z_stack([np.atleast_1d(z)]),
-                             AS_PUBLISHED)[0])
+    return _at_point(state, "wigner", z, AS_PUBLISHED)
 
 
 def char_fn(state: GaussianState, z) -> complex:
     """C(Z) = exp(-1/2 Z^dag C Z)."""
-    return complex(_evaluate(state, "charfn", _z_stack([np.atleast_1d(z)]),
-                             AS_PUBLISHED)[0])
+    return _at_point(state, "charfn", z, AS_PUBLISHED)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +233,7 @@ def q_norm_check(state: GaussianState, convention: str = CALIBRATED) -> float:
     N, R = bridge.resolve_convention(kernels.ensure_form(state, "R"), convention)
     values = _husimi(N, R, _z_stack(box.points()[:, None]))
     integral = complex(np.sum(values) * dx * dx / np.pi)
-    if np.linalg.eigvalsh(kernels._husimi_real_form(R)).min() <= 0:
+    if not kernels.husimi_decays(R):
         raise DomainError(
             "Husimi integrand does not decay (divergent normalization); "
             f"finite-box estimate over radius {radius:g}: |integral| = "

@@ -272,6 +272,19 @@ def test_closed_form_rejects_fewer_than_one_step(steps, t_end):
         dynamics.closed_form_trajectory("normal", thermal_r(), np.eye(2), t_end, steps)
 
 
+@pytest.mark.parametrize("variant", ["a", "b"])
+def test_closed_form_runs_backward_for_negative_t_end(variant):
+    R0, H = thermal_r(), np.array([[0.5, 1.0], [1.0, 0.5]])
+    traj = dynamics.closed_form_trajectory("normal", R0, H, -1.0, 10, variant)
+    np.testing.assert_array_equal(traj.times, np.linspace(0.0, -1.0, 11))
+    for t, R in zip(traj.times[[5, 10]], traj.kernels[[5, 10]]):
+        np.testing.assert_allclose(R, dynamics.normal_propagate(R0, H, t, variant),
+                                   rtol=0, atol=1e-12)
+    if variant == "b":      # RK4 integrates the same flow backward
+        rk4 = dynamics.integrate_rk4("normal", R0, H, -1.0, 1000)
+        np.testing.assert_allclose(rk4.kernels[-1], traj.kernels[-1], rtol=0, atol=1e-9)
+
+
 def test_det_conserved_along_normal_flow():
     rng = np.random.default_rng(79)
     R0 = kernels.g_to_r(random_valid_g(1, rng))

@@ -41,6 +41,12 @@ def dense_quad_operator(M, cutoff):
 # ---------------------------------------------------------------------------
 # operators
 
+@pytest.mark.parametrize("cutoff", [0, 1])
+def test_gaussian_density_refuses_cutoff_below_two(cutoff):
+    with pytest.raises(ValueError, match="^cutoff must be >= 2$"):
+        fo.gaussian_density(fo.PhysicalSpec(kind="thermal", omegas=[LN2]), cutoff)
+
+
 def test_annihilator_matrix_elements():
     a = fo.annihilator(1, 1, 5).matrix
     expected = np.diag(np.sqrt([1.0, 2.0, 3.0, 4.0]), 1)

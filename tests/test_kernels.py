@@ -34,6 +34,16 @@ def test_g_to_sigma_is_coth_half():
                                    [1 / np.tanh(om / 2)] * 2, atol=1e-12)
 
 
+@pytest.mark.parametrize("omegas", [[0.7], [0.5, 1.7], [0.6, 1.0, 1.5]])
+def test_thermal_is_exactly_diagonal(omegas):
+    # squeezed thermal at r = 0: S = I leaves both kernels bit-exact
+    st = kernels.make_thermal(omegas)
+    nus = (1 + np.exp(-np.array(omegas))) / (1 - np.exp(-np.array(omegas)))
+    np.testing.assert_array_equal(st.forms["G"], np.diag(omegas + omegas))
+    np.testing.assert_array_equal(st.forms["sigma"], np.diag(np.concatenate([nus, nus])))
+    assert st.provenance == f"thermal(omegas={list(np.array(omegas))})"
+
+
 def test_squeezed_thermal_consistency():
     st = kernels.make_squeezed_thermal([1.0], [0.4])
     np.testing.assert_allclose(kernels.g_to_sigma(st.forms["G"]),
@@ -155,6 +165,28 @@ def test_validate_catches_inconsistent_pair():
     assert not report.passed
 
 
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_cross_form_check_just_inside_and_outside(factor):
+    # sigma = 3 I stored with relative error delta: the G-vs-sigma residual is delta
+    delta = factor * kernels.TOL_CONV
+    st = kernels.make_thermal([LN2])
+    st.forms["sigma"] = st.forms["sigma"] * (1 + delta)
+    check, = [c for c in kernels.validate_state(st).checks if c.name == "cross.G_vs_sigma"]
+    assert check.residual == pytest.approx(delta, rel=1e-6)
+    assert check.passed == (factor < 1)
+
+
+@pytest.mark.parametrize("stored", kernels.FORMS)
+def test_ensure_form_converts_from_any_single_stored_form(stored):
+    sq = kernels.make_squeezed_thermal([0.9], [0.3])
+    st = kernels.GaussianState(1, {stored: kernels.ensure_form(sq, stored)})
+    for form in kernels.FORMS:
+        np.testing.assert_allclose(kernels.ensure_form(st, form),
+                                   kernels.ensure_form(sq, form), rtol=0, atol=1e-9)
+    with pytest.raises(ValueError, match="no conversion path"):
+        kernels.ensure_form(kernels.GaussianState(1, {}), "R")
+
+
 # ---------------------------------------------------------------------------
 # prefactors
 
@@ -178,3 +210,10 @@ def test_trace_of_normal_exponential_rejects_growth():
     E = structured("E", 1)
     with pytest.raises(DomainError):
         kernels.trace_of_normal_exponential(-0.5 * E)
+
+
+def test_husimi_decays_follows_the_kernel_sign():
+    E = structured("E", 1)
+    assert kernels.husimi_decays(0.5 * E)
+    assert not kernels.husimi_decays(-0.5 * E)
+    assert not kernels.husimi_decays(np.zeros((2, 2)))

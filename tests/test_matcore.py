@@ -171,6 +171,20 @@ def test_dense_solve_condition_guard_just_inside_and_outside():
         matcore.dense_solve(outside, np.ones(2))
 
 
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_dense_solve_residual_guard_just_inside_and_outside(factor, monkeypatch):
+    # a solution scaled by (1 + delta) leaves the relative residual delta
+    delta = factor * matcore.TOL_SOLVE
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda M, B: solve(M, B) * (1 + delta))
+    M, B = np.diag([1.0, 2.0]), np.array([1.0, 4.0])
+    if factor < 1:
+        np.testing.assert_allclose(matcore.dense_solve(M, B), [1.0, 2.0], rtol=2 * delta)
+    else:
+        with pytest.raises(NumericalError, match="residual 2.000e-10"):
+            matcore.dense_solve(M, B)
+
+
 def test_non_finite_input_rejected():
     M = np.array([[1.0, np.inf], [0.0, 1.0]])
     with pytest.raises(NumericalError):

@@ -98,6 +98,19 @@ def _per_point_reference(state, kind, conv, Zv):
     return complex(np.exp(-0.5 * Zv.conj() @ C @ Zv))
 
 
+@pytest.mark.parametrize("kind,conv", [("husimi", kernels.CALIBRATED),
+                                       ("wigner", kernels.AS_PUBLISHED),
+                                       ("charfn", kernels.AS_PUBLISHED)])
+def test_single_point_evaluators_check_the_amplitude_count(kind, conv):
+    one = thermal()
+    two = kernels.make_thermal([0.8, 1.4])
+    with pytest.raises(ValueError, match=r"^state has 1 mode\(s\), z 2 amplitude\(s\)$"):
+        _single_point(one, kind, conv, [0.1, 0.2])
+    with pytest.raises(ValueError, match=r"^state has 2 mode\(s\), z 1 amplitude\(s\)$"):
+        _single_point(two, kind, conv, 0.1)
+    assert np.isfinite(_single_point(two, kind, conv, [0.1, 0.2j]))
+
+
 @pytest.mark.parametrize("form", kernels.FORMS)
 def test_grid_eval_equals_single_point_evaluators(form):
     sq = kernels.make_squeezed_thermal([0.9], [0.3])
