@@ -326,7 +326,7 @@ def make_thermal(omegas) -> GaussianState:
     where S = I leaves G and sigma exactly diagonal."""
     omegas = _check_omegas(omegas)
     state = make_squeezed_thermal(omegas, np.zeros_like(omegas))
-    state.provenance = f"thermal(omegas={list(omegas)})"
+    state.provenance = f"thermal(omegas={omegas.tolist()})"
     return state
 
 
@@ -346,7 +346,7 @@ def make_squeezed_thermal(omegas, rs) -> GaussianState:
     return GaussianState(
         n_modes=len(omegas),
         forms={"G": G, "sigma": sigma},
-        provenance=f"squeezed_thermal(omegas={list(omegas)}, rs={list(rs)})",
+        provenance=f"squeezed_thermal(omegas={omegas.tolist()}, rs={rs.tolist()})",
     )
 
 

@@ -63,10 +63,9 @@ class PhaseTable:
                  f"# convention={self.convention}",
                  f"# measure_note={self.measure_note}",
                  CSV_HEADER]
-        columns = (self.points.real, self.points.imag,
-                   self.values.real, self.values.imag)
-        lines += [",".join(map(repr, row))
-                  for row in zip(*(c.tolist() for c in columns))]
+        lines += _csv_rows(np.stack([self.points.real, self.points.imag,
+                                     self.values.real, self.values.imag],
+                                    axis=1, dtype=float))
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -90,6 +89,21 @@ class PhaseTable:
                           convention=meta.get("convention", ""),
                           points=pairs[:, 0], values=pairs[:, 1],
                           measure_note=meta.get("measure_note", ""))
+
+
+def _csv_rows(table: np.ndarray) -> list:
+    """The comma-joined repr fields of each row of a float table.
+
+    repr runs once per distinct bit pattern, not per field: grid coordinates
+    repeat and Gaussian values repeat by symmetry.  Bit patterns, not values,
+    because 0.0 and -0.0 compare equal but print differently.
+    """
+    bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
+    texts = list(map(repr, bits.view(float).tolist()))
+    # the inverse's shape has changed across numpy 2.x releases
+    fields = [texts[i] for i in inverse.ravel().tolist()]
+    width = table.shape[1]
+    return list(map(",".join, zip(*(fields[j::width] for j in range(width)))))
 
 
 def _z_stack(z) -> np.ndarray:

@@ -41,7 +41,7 @@ def test_thermal_is_exactly_diagonal(omegas):
     nus = (1 + np.exp(-np.array(omegas))) / (1 - np.exp(-np.array(omegas)))
     np.testing.assert_array_equal(st.forms["G"], np.diag(omegas + omegas))
     np.testing.assert_array_equal(st.forms["sigma"], np.diag(np.concatenate([nus, nus])))
-    assert st.provenance == f"thermal(omegas={list(np.array(omegas))})"
+    assert st.provenance == f"thermal(omegas={omegas})"
 
 
 def test_squeezed_thermal_consistency():

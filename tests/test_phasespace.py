@@ -194,7 +194,7 @@ def _csv_writer_reference(table):
 
 
 @pytest.mark.parametrize("axis", [(-2, 2, 9), (-3, 1.5, 17), (0.0, 0.0, 1),
-                                  (-0.0, -0.0, 1), (-1, 0, 3)])
+                                  (-0.0, -0.0, 1), (-1, 0, 3), (-3, 3, 101)])
 def test_to_csv_equals_csv_writer_reference(axis):
     grid = PhaseGrid(re_range=axis, im_range=axis)
     for st in (thermal(), kernels.make_squeezed_thermal([0.9], [0.3])):
@@ -211,6 +211,21 @@ def test_negative_zero_survives_the_csv():
                        values=np.array([complex(0.5, -0.0)]))
     text = table.to_csv()
     assert text.splitlines()[-1] == "-0.0,-0.0,0.5,-0.0"
+    assert text == _csv_writer_reference(table)
+    assert PhaseTable.from_csv(text).to_csv() == text
+
+
+def test_csv_formats_by_bit_pattern_not_by_value():
+    # 0.0 and -0.0 compare equal, so a writer that groups equal values would
+    # print one sign for both; the NaNs carry distinct bit patterns
+    nan2 = np.array([0x7FF8000000000001]).view(float)[0]
+    points = np.array([complex(0.0, -0.0), complex(-0.0, 0.0), complex(1.5, 1.5),
+                       complex(-0.0, -0.0), complex(np.inf, -np.inf)])
+    values = np.array([complex(-0.0, 0.0), complex(0.0, 1.5), complex(np.nan, nan2),
+                       complex(1.5, -np.inf), complex(-0.0, np.nan)])
+    table = PhaseTable("husimi", kernels.CALIBRATED, points=points, values=values)
+    text = table.to_csv()
+    assert text.splitlines()[4:6] == ["0.0,-0.0,-0.0,0.0", "-0.0,0.0,0.0,1.5"]
     assert text == _csv_writer_reference(table)
     assert PhaseTable.from_csv(text).to_csv() == text
 

@@ -16,9 +16,10 @@ two-mode omega = 0.8/1.4, r = 0.3/-0.2, each stored as G, sigma, R and C:
 validate, spectrum and convert to each form on every file; phase (Husimi
 under both conventions with and without --check-norm, Wigner and
 characteristic function under both conventions, an unknown convention) on
-four grids on every one-mode file, and one default phase per two-mode file;
-evolve closed (both variants, 100 and 1000 steps) and RK4 (100 and 200
-steps) on the sigma and R files and on three-mode thermal omega =
+four grids on every one-mode file, one default phase per two-mode file, and
+a default phase on a 101-point grid from the squeezed G and thermal sigma
+files; evolve closed (both variants, 100 and 1000 steps) and RK4 (100 and
+200 steps) on the sigma and R files and on three-mode thermal omega =
 0.6/1.0/1.5 ones at t = 0, 0.7 and 2, plus error, one-step, zero- and
 negative-step (both methods) and overflowing runs; audit on every file but
 the three-mode ones, on a stationary kernel, at t = 60, with --with-oracle at
@@ -110,6 +111,8 @@ def commands(modes: dict) -> list:
                      for variant in PHASE_VARIANTS for grid in GRIDS]
         else:
             cmds.append(["phase", path, "-o", "out.csv"])
+    cmds += [["phase", path, "--grid=-3:3:101", "-o", "out.csv"]
+             for path in ("s1_G.json", "t1_sigma.json")]
     for label, n in modes.items():
         for form in ("sigma", "R"):
             for t in ("0", "0.7", "2"):
