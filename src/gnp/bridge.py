@@ -32,7 +32,7 @@ from .matcore import structured
 
 
 def _conjugate(kind: str, R) -> np.ndarray:
-    M = structured(kind, R.shape[0] // 2)
+    M = structured(kind, R.shape[-1] // 2)
     return M @ R @ M
 
 
@@ -156,14 +156,13 @@ class CalibrationReport:
 
 
 def _degeneracy_groups(mapped):
-    """Group kernel maps whose bridged kernels, mapped[name] for each suite
-    member, agree on the whole suite."""
+    """Group kernel maps whose bridged kernels, mapped[name] (a stack over
+    the suite), agree on the whole suite."""
     groups = []
     for name in mapped:
         for group in groups:
             rep = group[0]
-            if all(np.abs(a - b).max() <= DEGENERACY_TOL
-                   for a, b in zip(mapped[name], mapped[rep])):
+            if np.abs(mapped[name] - mapped[rep]).max() <= DEGENERACY_TOL:
                 group.append(name)
                 break
         else:
@@ -187,12 +186,11 @@ def calibrate(cutoff: int = DEFAULT_CUTOFF) -> CalibrationReport:
         physical_Rs.append(r_from_q_hessian(rho))
         q_origins.append(q_of_rho(rho, 0.0))
 
-    # each map applied once to each suite kernel; every score below reads these
-    mapped = {name: [apply_r_map(R, name) for R in published_Rs]
-              for name in R_MAPS}
+    # each map applied once to the suite stack; every score below reads these
+    published, physical = np.array(published_Rs), np.array(physical_Rs)
+    mapped = {name: apply_r_map(published, name) for name in R_MAPS}
     for name, Rs in mapped.items():
-        res = max(np.abs(Rm - Rf).max() for Rm, Rf in zip(Rs, physical_Rs))
-        report.kernel_residuals[name] = float(res)
+        report.kernel_residuals[name] = float(np.abs(Rs - physical).max())
 
     report.degeneracy_groups = _degeneracy_groups(mapped)
     winners = [g for g in report.degeneracy_groups
@@ -209,7 +207,7 @@ def calibrate(cutoff: int = DEFAULT_CUTOFF) -> CalibrationReport:
         )
     r_map = winners[0][0]
 
-    dets = [matcore.determinant(Rm) for Rm in mapped[r_map]]
+    dets = matcore.determinant(mapped[r_map])
     for rule in PREFACTOR_RULES:
         res = max(abs(PREFACTOR_RULES[rule](Rm, det) - q0)
                   for Rm, det, q0 in zip(mapped[r_map], dets, q_origins))

@@ -226,7 +226,7 @@ def closed_form_trajectory(kind: str, X0, H, t_end: float, steps: int,
         X = _apply(S, X0)
     traj = Trajectory(kind, H, times, X)
     # after the finiteness guard: S of an overflowed run is never measured
-    traj.symplectic_residual = matcore.symplectic_residuals(S)
+    traj.symplectic_residual = matcore.symplectic_residual(S)
     return traj
 
 
@@ -293,7 +293,7 @@ def convention_audit(state: kernels.GaussianState, H,
     R0 = kernels.ensure_form(state, "R")
     ts = np.linspace(0.0, t_end, CONVENTION_SAMPLES)
     sigmas = _apply(_propagators("covariance", H, ts), sigma0)
-    R_from_sigma = np.array([kernels.sigma_to_r(s) for s in sigmas])
+    R_from_sigma = kernels.sigma_to_r(sigmas)
     residuals = {v: float(np.abs(_apply(_propagators(v, H, ts), R0)
                                  - R_from_sigma).max()) for v in VARIANTS}
     return ConventionAuditReport(

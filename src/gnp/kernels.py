@@ -162,7 +162,7 @@ def validate_state(state: GaussianState) -> ValidationReport:
 def g_to_sigma(G) -> np.ndarray:
     """sigma = coth(Omega G / 2) Omega."""
     G = np.asarray(G, dtype=complex)
-    n = G.shape[0] // 2
+    n = G.shape[-1] // 2
     Om = structured("Omega", n)
     return matcore.mat_analytic(Om @ G, lambda x: _coth(x / 2.0)) @ Om
 
@@ -174,7 +174,7 @@ def sigma_to_g(sigma) -> np.ndarray:
     (the state would sit on or beyond the vacuum boundary).
     """
     sigma = np.asarray(sigma, dtype=complex)
-    n = sigma.shape[0] // 2
+    n = sigma.shape[-1] // 2
     Om = structured("Omega", n)
     M = sigma @ Om
     vals = np.linalg.eigvals(M)
@@ -191,7 +191,7 @@ def sigma_to_g(sigma) -> np.ndarray:
 def sigma_to_r(sigma) -> np.ndarray:
     """R = -2 E (sigma + I)^-1, as-published sign."""
     sigma = np.asarray(sigma, dtype=complex)
-    n = sigma.shape[0] // 2
+    n = sigma.shape[-1] // 2
     E = structured("E", n)
     return -2.0 * E @ matcore.inverse(sigma + np.eye(2 * n))
 
@@ -199,7 +199,7 @@ def sigma_to_r(sigma) -> np.ndarray:
 def r_to_sigma(R) -> np.ndarray:
     """Inverse of sigma_to_r: sigma = -2 R^-1 E - I."""
     R = np.asarray(R, dtype=complex)
-    n = R.shape[0] // 2
+    n = R.shape[-1] // 2
     E = structured("E", n)
     return -2.0 * matcore.inverse(R) @ E - np.eye(2 * n)
 
@@ -210,7 +210,7 @@ def g_to_r(G) -> np.ndarray:
     R = -2 (E + J (I + e^{-EGJ})(I - e^{-EGJ})^{-1})^{-1}.
     """
     G = np.asarray(G, dtype=complex)
-    n = G.shape[0] // 2
+    n = G.shape[-1] // 2
     E = structured("E", n)
     J = structured("J", n)
     F = matcore.mat_analytic(E @ G @ J, _eq9_ratio)
@@ -220,14 +220,14 @@ def g_to_r(G) -> np.ndarray:
 def sigma_to_c(sigma) -> np.ndarray:
     """C = (1/2) Omega sigma Omega."""
     sigma = np.asarray(sigma, dtype=complex)
-    n = sigma.shape[0] // 2
+    n = sigma.shape[-1] // 2
     Om = structured("Omega", n)
     return 0.5 * Om @ sigma @ Om
 
 
 def c_to_sigma(C) -> np.ndarray:
     C = np.asarray(C, dtype=complex)
-    n = C.shape[0] // 2
+    n = C.shape[-1] // 2
     Om = structured("Omega", n)
     return 2.0 * Om @ C @ Om
 
@@ -238,7 +238,7 @@ def c_from_g(G) -> np.ndarray:
     C = (Omega/2) (I + e^{-Omega G})(I - e^{-Omega G})^{-1}.
     """
     G = np.asarray(G, dtype=complex)
-    n = G.shape[0] // 2
+    n = G.shape[-1] // 2
     Om = structured("Omega", n)
     return 0.5 * Om @ matcore.mat_analytic(Om @ G, _eq9_ratio)
 

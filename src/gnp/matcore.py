@@ -3,7 +3,10 @@
 Structured constant matrices, matrix exponential, analytic matrix functions
 via eigendecomposition, determinants, linear solves and symplectic residuals.
 All kernels in this package are small (2n x 2n with n <= 4 in practice), so
-everything here is plain dense linear algebra on complex128 arrays.
+everything here is plain dense linear algebra on complex128 arrays. Every
+primitive takes a finite (d, d) matrix, giving Python scalars, or an
+(m, d, d) stack, giving (m,) arrays; a guard refuses a non-finite value or
+one above its limit, on a stack naming the first failing matrix.
 """
 
 from __future__ import annotations
@@ -23,13 +26,6 @@ COND_LIMIT = 1e12     # condition number beyond which we refuse to proceed
 _KINDS = ("J", "Omega", "E", "I")
 
 
-def _as_square(M) -> np.ndarray:
-    M = _as_squares(M)
-    if M.ndim != 2:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    return M
-
-
 def _as_squares(M) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
@@ -37,6 +33,17 @@ def _as_squares(M) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise NumericalError("matrix contains non-finite entries")
     return M
+
+
+def _guard(values, limit: float, message: str) -> None:
+    """Raise NumericalError(message.format(value, limit)) when a value is
+    non-finite or above limit; values of a stack name the first failing one."""
+    values = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(values) | (values > limit)
+    if bad.any():
+        k = int(bad.argmax())
+        where = f" at matrix {k}" if values.ndim else ""
+        raise NumericalError(message.format(values.flat[k], limit) + where)
 
 
 def structured(kind: str, n_modes: int) -> np.ndarray:
@@ -63,15 +70,16 @@ def structured(kind: str, n_modes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigDecomp:
-    """Eigendecomposition M = V diag(values) V^-1 with a condition estimate."""
+    """Eigendecomposition M = V diag(values) V^-1 with a condition estimate
+    (a float for one matrix, an (m,) array for a stack)."""
 
     values: np.ndarray
     right_vectors: np.ndarray
     inverse_vectors: np.ndarray       # V^-1
-    condition_estimate: float
+    condition_estimate: float | np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.right_vectors * self.values) @ self.inverse_vectors
+        return (self.right_vectors * self.values[..., None, :]) @ self.inverse_vectors
 
 
 def eig_decomp(M) -> EigDecomp:
@@ -80,22 +88,18 @@ def eig_decomp(M) -> EigDecomp:
     Raises NumericalError if the eigenvector matrix condition exceeds
     COND_LIMIT or the reconstruction residual exceeds TOL_EIG * ||M||.
     """
-    M = _as_square(M)
+    M = _as_squares(M)
     values, vectors = np.linalg.eig(M)
-    cond = float(np.linalg.cond(vectors))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise NumericalError(
-            f"eigenbasis condition {cond:.3e} exceeds {COND_LIMIT:.1e}; "
-            "matrix is defective or near-defective"
-        )
+    cond = np.linalg.cond(vectors)
+    _guard(cond, COND_LIMIT, "eigenbasis condition {:.3e} exceeds {:.1e}; "
+           "matrix is defective or near-defective")
     dec = EigDecomp(values=values, right_vectors=vectors,
-                    inverse_vectors=np.linalg.inv(vectors), condition_estimate=cond)
-    scale = max(np.linalg.norm(M), 1e-300)
-    residual = np.linalg.norm(dec.reconstruct() - M) / scale
-    if residual > TOL_EIG:
-        raise NumericalError(
-            f"eigendecomposition reconstruction residual {residual:.3e} > {TOL_EIG:.0e}"
-        )
+                    inverse_vectors=np.linalg.inv(vectors),
+                    condition_estimate=float(cond) if M.ndim == 2 else cond)
+    scale = np.maximum(np.linalg.norm(M, axis=(-2, -1)), 1e-300)
+    residual = np.linalg.norm(dec.reconstruct() - M, axis=(-2, -1)) / scale
+    _guard(residual, TOL_EIG,
+           "eigendecomposition reconstruction residual {:.3e} > {:.0e}")
     return dec
 
 
@@ -122,55 +126,51 @@ def mat_analytic(M, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     if not np.all(np.isfinite(fvals)):
         bad = dec.values[~np.isfinite(fvals)]
         raise DomainError(f"function not finite at eigenvalue(s) {bad}")
-    return (dec.right_vectors * fvals) @ dec.inverse_vectors
+    return (dec.right_vectors * fvals[..., None, :]) @ dec.inverse_vectors
 
 
-def determinant(M) -> complex:
+def determinant(M) -> complex | np.ndarray:
     """LU-based determinant."""
-    return complex(np.linalg.det(_as_square(M)))
+    det = np.linalg.det(_as_squares(M))
+    return complex(det) if det.ndim == 0 else det
 
 
 def dense_solve(M, B) -> np.ndarray:
     """Solve M X = B, refusing near-singular systems.
 
-    B may be a stack (m, d, k); each system then meets the residual bound alone.
-    The inverse of M is dense_solve(M, I).
+    For one M, B is (d,), (d, k) or a stack (m, d, k) whose systems share
+    one residual bound (the error reports their largest residual); for a
+    stack M, B is (d, k) or (m, d, k). The inverse of M is dense_solve(M, I).
     """
-    M = _as_square(M)
+    M = _as_squares(M)
     B = np.asarray(B, dtype=complex)
-    cond = float(np.linalg.cond(M))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise NumericalError(f"matrix condition {cond:.3e} exceeds {COND_LIMIT:.1e}")
+    _guard(np.linalg.cond(M), COND_LIMIT, "matrix condition {:.3e} exceeds {:.1e}")
     X = np.linalg.solve(M, B)
     axes = (-1,) if B.ndim == 1 else (-2, -1)
     scale = np.maximum(np.linalg.norm(B, axis=axes), 1e-300)
-    residual = float(np.max(np.linalg.norm(M @ X - B, axis=axes) / scale))
-    if residual > TOL_SOLVE:
-        raise NumericalError(f"solve residual {residual:.3e} > {TOL_SOLVE:.0e}")
+    residual = np.linalg.norm(M @ X - B, axis=axes) / scale
+    _guard(residual if M.ndim == 3 else np.max(residual), TOL_SOLVE,
+           "solve residual {:.3e} > {:.0e}")
     return X
 
 
 def inverse(M) -> np.ndarray:
-    return dense_solve(M, np.eye(np.asarray(M).shape[0]))
+    return dense_solve(M, np.eye(np.shape(M)[-1]))
 
 
-def symplectic_residual(S) -> float:
-    """max(||S^T J S - J||, ||S J S^T - J||) in the max (entrywise) norm."""
-    S = _as_square(S)
-    if S.shape[0] % 2 != 0:
+def symplectic_residual(S) -> float | np.ndarray:
+    """max(||S^T J S - J||, ||S J S^T - J||) in the max (entrywise) norm,
+    of S or of each matrix of a stack."""
+    S = _as_squares(S)
+    if S.shape[-1] % 2 != 0:
         raise ValueError("symplectic candidates must be 2n x 2n")
-    return float(symplectic_residuals(S[None])[0])
-
-
-def symplectic_residuals(S) -> np.ndarray:
-    """symplectic_residual of each matrix of a stack (m, 2n, 2n)."""
-    S = np.asarray(S)
     n = S.shape[-1] // 2
     J = structured("J", n)
     St = np.swapaxes(S, -1, -2)
     r1 = np.abs(_times_j(St, n) @ S - J).max(axis=(-2, -1))
     r2 = np.abs(_times_j(S, n) @ St - J).max(axis=(-2, -1))
-    return np.maximum(r1, r2)
+    residual = np.maximum(r1, r2)
+    return float(residual) if S.ndim == 2 else residual
 
 
 def _times_j(M, n: int) -> np.ndarray:

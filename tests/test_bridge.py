@@ -85,13 +85,14 @@ def test_calibration_equals_the_per_map_scores(report):
 
 
 def test_calibrate_maps_each_suite_kernel_once(monkeypatch):
+    # one call per map, on the stack of all suite kernels
     calls = Counter()
     apply = bridge.apply_r_map
-    monkeypatch.setattr(bridge, "apply_r_map",
-                        lambda R, name: calls.update([name]) or apply(R, name))
+    monkeypatch.setattr(bridge, "apply_r_map", lambda R, name: calls.update(
+        [(name, np.shape(R))]) or apply(R, name))
     bridge.calibrate(cutoff=30)
     n_suite = len(bridge.calibration_suite())
-    assert calls == {name: n_suite for name in bridge.R_MAPS}
+    assert calls == {(name, (n_suite, 2, 2)): 1 for name in bridge.R_MAPS}
 
 
 def test_apply_r_map_table():

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from gnp import matcore
+from gnp import kernels, matcore
 from gnp.errors import DomainError, NumericalError
 from gnp.matcore import structured
 
-from util import random_symmetric, random_symplectic
+from util import random_symmetric, random_symplectic, random_valid_g
 
 
 def test_structured_identities():
@@ -43,6 +43,54 @@ def test_eig_decomp_refuses_defective_matrix():
     M = np.array([[1.0, 1.0], [0.0, 1.0]])  # Jordan block
     with pytest.raises(NumericalError):
         matcore.eig_decomp(M)
+
+
+def test_eig_decomp_condition_guard_just_inside_and_outside():
+    # the eigenbasis condition of [[1, 1], [0, 1 + e]] grows as 2 / e
+    inside = matcore.eig_decomp([[1.0, 1.0], [0.0, 1.0 + 4e-12]])
+    assert 0.1 * matcore.COND_LIMIT < inside.condition_estimate < matcore.COND_LIMIT
+    with pytest.raises(NumericalError, match=r"condition 2\.000e\+12 exceeds"):
+        matcore.eig_decomp([[1.0, 1.0], [0.0, 1.0 + 1e-12]])
+
+
+def _stack_of_three(bad):
+    """A 3-matrix stack whose matrix 1 is bad."""
+    return np.array([np.diag([1.0, 2.0]), bad, np.diag([3.0, 4.0])])
+
+
+def test_eig_condition_guard_names_the_failing_matrix():
+    with pytest.raises(NumericalError, match="near-defective at matrix 1$"):
+        matcore.eig_decomp(_stack_of_three([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_eig_residual_guard_names_the_failing_matrix(monkeypatch):
+    eig = np.linalg.eig
+    scale = 1 + np.array([0.0, 2.0, 0.0])[:, None] * matcore.TOL_EIG
+    monkeypatch.setattr(np.linalg, "eig", lambda M: (eig(M)[0] * scale, eig(M)[1]))
+    with pytest.raises(NumericalError, match=r"residual 2\.000e-09 > 1e-09 at matrix 1$"):
+        matcore.eig_decomp(_stack_of_three(np.diag([5.0, 6.0])))
+
+
+def test_solve_condition_guard_names_the_failing_matrix():
+    bad = np.diag([1.0, 1.0 / (2.0 * matcore.COND_LIMIT)])
+    with pytest.raises(NumericalError, match=r"exceeds 1\.0e\+12 at matrix 1$"):
+        matcore.inverse(_stack_of_three(bad))
+
+
+def test_solve_residual_guard_names_the_failing_matrix(monkeypatch):
+    solve = np.linalg.solve
+    scale = 1 + np.array([0.0, 2.0, 0.0])[:, None, None] * matcore.TOL_SOLVE
+    monkeypatch.setattr(np.linalg, "solve", lambda M, B: solve(M, B) * scale)
+    with pytest.raises(NumericalError, match=r"residual 2\.000e-10 > 1e-10 at matrix 1$"):
+        matcore.inverse(_stack_of_three(np.diag([5.0, 6.0])))
+    # one M against a stack of right-hand sides: their largest residual, no index
+    with pytest.raises(NumericalError, match=r"residual 2\.000e-10 > 1e-10$"):
+        matcore.dense_solve(np.diag([1.0, 2.0]), np.ones((3, 2, 1)))
+
+
+def test_dense_solve_refuses_a_nan_right_hand_side():
+    with pytest.raises(NumericalError, match="solve residual nan > 1e-10$"):
+        matcore.dense_solve(np.eye(2), [np.nan, 1.0])
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
@@ -95,16 +143,53 @@ def test_mat_exp_stack_fails_if_any_member_fails():
         matcore.mat_exp(M)
 
 
-def test_only_mat_exp_takes_a_stack():
-    stack = np.array([np.eye(2), 2 * np.eye(2)])
-    with pytest.raises(ValueError, match="square"):
-        matcore.mat_exp(np.zeros((2, 2, 2, 2)))
-    with pytest.raises(ValueError, match="square"):
-        matcore.mat_exp(np.zeros((3, 2, 3)))
-    for f in (matcore.determinant, matcore.eig_decomp, matcore.inverse,
-              matcore.symplectic_residual):
+CONVERSIONS = (
+    (kernels.g_to_sigma, "G"), (kernels.g_to_r, "G"), (kernels.c_from_g, "G"),
+    (kernels.sigma_to_g, "sigma"), (kernels.sigma_to_r, "sigma"),
+    (kernels.sigma_to_c, "sigma"), (kernels.r_to_sigma, "R"),
+    (kernels.c_to_sigma, "C"),
+)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_primitive_and_conversion_takes_a_stack(n):
+    rng = np.random.default_rng([27, n])
+    d = 2 * n
+    M = (rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+         + 3 * np.eye(d))
+    B = rng.standard_normal((5, d, 2)) + 1j * rng.standard_normal((5, d, 2))
+    primitives = (
+        matcore.mat_exp, matcore.determinant, matcore.inverse,
+        matcore.symplectic_residual,
+        lambda X: matcore.mat_analytic(X, np.exp),
+        lambda X: matcore.dense_solve(X, B[0]),
+    )
+    for f in primitives:
+        assert np.array_equal(f(M), [f(Mk) for Mk in M])
+    assert type(matcore.determinant(M[0])) is complex
+    assert type(matcore.symplectic_residual(M[0])) is float
+    assert np.array_equal(matcore.dense_solve(M, B),
+                          [matcore.dense_solve(Mk, Bk) for Mk, Bk in zip(M, B)])
+    dec = matcore.eig_decomp(M)
+    for k, Mk in enumerate(M):
+        one = matcore.eig_decomp(Mk)
+        assert type(one.condition_estimate) is float
+        assert dec.condition_estimate[k] == one.condition_estimate
+        for field in ("values", "right_vectors", "inverse_vectors"):
+            assert np.array_equal(getattr(dec, field)[k], getattr(one, field))
+        assert np.array_equal(dec.reconstruct()[k], one.reconstruct())
+    # the eight conversions, on random Williamson kernels
+    G = np.array([random_valid_g(n, rng) for _ in range(5)])
+    forms = {"G": G, "sigma": np.array([kernels.g_to_sigma(Gk) for Gk in G])}
+    forms["R"] = np.array([kernels.sigma_to_r(s) for s in forms["sigma"]])
+    forms["C"] = np.array([kernels.sigma_to_c(s) for s in forms["sigma"]])
+    for f, form in CONVERSIONS:
+        assert np.array_equal(f(forms[form]), [f(X) for X in forms[form]]), f.__name__
+    for f in (*primitives, matcore.eig_decomp):
         with pytest.raises(ValueError, match="square"):
-            f(stack)
+            f(np.zeros((2, 2, d, d)))
+        with pytest.raises(ValueError, match="square"):
+            f(np.zeros((3, d, d + 1)))
 
 
 def test_mat_analytic_scalar_consistency():
@@ -209,13 +294,13 @@ def test_stacked_symplectic_residuals_match_each_matrix():
         J = structured("J", n)
         expected = [max(np.abs(M.T @ J @ M - J).max(), np.abs(M @ J @ M.T - J).max())
                     for M in S]
-        stacked = matcore.symplectic_residuals(S)
+        stacked = matcore.symplectic_residual(S)
         np.testing.assert_array_equal(stacked, expected)
         assert [matcore.symplectic_residual(M) for M in S] == list(stacked)
     # a long stack
     m = 259
     S = np.array([random_symplectic(2, rng, scale=0.5) for _ in range(m)])
     S[::7] += 1e-6 * rng.standard_normal(S[::7].shape)
-    stacked = matcore.symplectic_residuals(S)
+    stacked = matcore.symplectic_residual(S)
     assert stacked.shape == (m,)
     assert [matcore.symplectic_residual(M) for M in S] == list(stacked)

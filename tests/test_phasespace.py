@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gnp import bridge, kernels, matcore, phasespace
-from gnp.errors import DomainError
+from gnp.errors import DomainError, NumericalError
 from gnp.phasespace import PhaseGrid, PhaseTable
 
 LN2 = np.log(2.0)
@@ -293,6 +293,11 @@ def test_gauss_integral_rejects_growth_and_unbalanced():
         phasespace.gauss_integral(-np.eye(2), np.zeros(2))
     with pytest.raises(DomainError):
         phasespace.gauss_integral(np.diag([1.0, 2.0]), np.zeros(2))
+
+
+def test_gauss_integral_refuses_a_nan_amplitude():
+    with pytest.raises(NumericalError, match="solve residual nan > 1e-10$"):
+        phasespace.gauss_integral(1.5 * np.eye(2), np.array([np.nan, 0.2]))
 
 
 # ---------------------------------------------------------------------------
