@@ -1,12 +1,13 @@
 """Independent truncated Fock-space ground truth.
 
-Dense ladder and quadratic operators, Gaussian densities built as tensor
-products of normalized exponentials (one per group of coupled modes),
-Liouville evolution, stacked coherent states read by one Husimi evaluator
-`q_values`, and the physical normal-product kernel as the exact log-Hessian
-of Q at the origin, read from the matrix elements of rho with at most two
-excitations.  Nothing here depends on the kernel-algebra formulas it is used
-to verify; the only shared ingredient is plain linear algebra.
+Quadratic operators as plain dense arrays, Gaussian densities (FockOperator)
+built as tensor products of normalized exponentials (one per group of coupled
+modes), Liouville evolution, stacked coherent states read by one Husimi
+evaluator `q_values`, and the physical normal-product kernel as the exact
+log-Hessian of Q at the origin, read from the matrix elements of rho with at
+most two excitations.  Nothing here depends on the kernel-algebra formulas it
+is used to verify; the only shared ingredients are plain linear algebra and
+matcore's guard for its limit checks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .matcore import structured
+from .matcore import guard, structured
 
 TAIL_WARN = 1e-8
 TAIL_ERROR = 1e-4
@@ -28,7 +29,7 @@ DERIVATIVE_STEP = 1e-3  # stencil step of derivative_identity_check
 
 @dataclass
 class FockOperator:
-    """Dense operator on an n-mode Fock space truncated at `cutoff` levels."""
+    """Dense density on an n-mode Fock space truncated at `cutoff` levels."""
 
     n_modes: int
     cutoff: int
@@ -40,10 +41,6 @@ class FockOperator:
         if M.shape != (dim, dim):
             raise ValueError(f"expected shape {(dim, dim)}, got {M.shape}")
         self.matrix = M
-
-    @property
-    def is_hermitian(self) -> bool:
-        return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= 1e-12)
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
@@ -68,19 +65,9 @@ def _kron(factors) -> np.ndarray:
     return out
 
 
-def annihilator(n_modes: int, mode: int, cutoff: int) -> FockOperator:
-    """Ladder operator a_mode (1-based mode index) as identities tensor a."""
-    if cutoff < 2:
-        raise ValueError("cutoff must be >= 2")
-    if not 1 <= mode <= n_modes:
-        raise ValueError(f"mode must be in 1..{n_modes}")
-    factors = [np.eye(cutoff)] * n_modes
-    factors[mode - 1] = _ladder(cutoff)
-    return FockOperator(n_modes=n_modes, cutoff=cutoff, matrix=_kron(factors))
-
-
-def quad_operator(M, cutoff: int) -> FockOperator:
-    """(1/2) sum_ij M_ij A_i A_j, one Kronecker term per nonzero M_ij.
+def quad_operator(M, cutoff: int) -> np.ndarray:
+    """(1/2) sum_ij M_ij A_i A_j as a (cutoff^n, cutoff^n) complex array, one
+    Kronecker term per nonzero M_ij.
 
     A_i is a (i < n) or a^+ (i >= n) on mode i % n; on a shared mode the two
     single-mode factors are multiplied first.
@@ -97,7 +84,7 @@ def quad_operator(M, cutoff: int) -> FockOperator:
         else:
             factors[i % n], factors[j % n] = ladder[i // n], ladder[j // n]
         out += 0.5 * M[i, j] * _kron(factors)
-    return FockOperator(n_modes=n, cutoff=cutoff, matrix=out)
+    return out
 
 
 @dataclass
@@ -123,9 +110,7 @@ class PhysicalSpec:
         if np.any(self.omegas <= 0):
             raise DomainError("thermal frequencies must be positive")
         n = len(self.omegas)
-        kernel = np.zeros((2 * n, 2 * n))
-        for i, om in enumerate(self.omegas):
-            kernel[i, n + i] = kernel[n + i, i] = om
+        kernel = np.kron(structured("E", 1), np.diag(self.omegas))
         if self.kind == "thermal":
             self.squeezes = np.zeros(n)
         elif self.kind == "squeezed-thermal":
@@ -143,17 +128,15 @@ class PhysicalSpec:
 
 def _check_tail(rho: FockOperator, context: str):
     tail = rho.tail_mass()
-    if tail > TAIL_ERROR:
-        raise TruncationError(f"{context}: tail mass {tail:.3e} > {TAIL_ERROR:.0e}")
+    guard(tail, TAIL_ERROR, context + ": tail mass {:.3e} > {:.0e}", TruncationError)
     if tail > TAIL_WARN:
         warnings.warn(f"{context}: tail mass {tail:.3e} exceeds {TAIL_WARN:.0e}")
 
 
-def _hermitian_function(op: FockOperator, f, error: str) -> np.ndarray:
-    """V f(w) V^+ for the eigen-decomposition V diag(w) V^+ of a Hermitian op."""
-    if not op.is_hermitian:
-        raise DomainError(error)
-    w, V = np.linalg.eigh(op.matrix)
+def _hermitian_function(M: np.ndarray, f, error: str) -> np.ndarray:
+    """V f(w) V^+ for the eigen-decomposition V diag(w) V^+ of a Hermitian M."""
+    guard(np.abs(M - M.conj().T).max(), 1e-12, error, DomainError)
+    w, V = np.linalg.eigh(M)
     return (V * f(w)) @ V.conj().T
 
 
@@ -227,8 +210,9 @@ def coherent_vectors(zs, cutoff: int) -> np.ndarray:
     for mode in levels.T:                # (m, cutoff) per mode: row-wise kron
         out = (out[:, :, None] * mode[:, None, :]).reshape(len(zs), -1)
     deficit = np.abs(1.0 - np.linalg.norm(out, axis=1) ** 2)
-    if (deficit > 1e-8).any():
-        row = np.argmax(deficit > 1e-8)
+    bad = ~(deficit <= 1e-8)
+    if bad.any():
+        row = np.argmax(bad)
         raise TruncationError(
             f"coherent state |z|={np.abs(zs[row]).max():.3g} loses norm "
             f"{deficit[row]:.3e} at cutoff {cutoff}"
@@ -239,10 +223,9 @@ def coherent_vectors(zs, cutoff: int) -> np.ndarray:
 def _q_rows(rho: FockOperator, V: np.ndarray) -> np.ndarray:
     """<Z| rho |Z> for each row |Z> of V, in one matrix product."""
     vals = ((V.conj() @ rho.matrix) * V).sum(axis=1)
-    imag = np.abs(vals.imag).max(initial=0.0)
-    if imag > 1e-10:
-        raise DomainError(f"<Z|rho|Z> has imaginary part {imag:.3e}; "
-                          "rho is not Hermitian enough")
+    guard(np.abs(vals.imag).max(initial=0.0), 1e-10,
+          "<Z|rho|Z> has imaginary part {:.3e}; rho is not Hermitian enough",
+          DomainError)
     return vals.real
 
 
@@ -272,6 +255,9 @@ def r_from_q_hessian(rho: FockOperator) -> np.ndarray:
     if rho.cutoff < 3:
         raise ValueError("the log-Hessian reads two excitations: cutoff must be >= 3")
     r = rho.matrix.reshape((rho.cutoff,) * (2 * n))    # r[m_1..m_n, k_1..k_n]
+    if not (np.isfinite(r.flat[0]) and r.flat[0].real > 0):
+        raise DomainError(f"rho_00 = {r.flat[0].real:.3e} is not finite and positive: "
+                          "-ln Q has no Hessian at the origin")
     one = np.eye(n, dtype=int)                          # row i: e_i
     two, zero = one[:, None] + one[None, :], np.zeros(n, dtype=int)
 
@@ -294,8 +280,8 @@ def liouville_step(rho0: FockOperator, H_kernel, t: float) -> FockOperator:
                             "Hamiltonian kernel is not Hermitian in truncation")
     rho = U @ rho0.matrix @ U.conj().T
     out = FockOperator(n_modes=rho0.n_modes, cutoff=rho0.cutoff, matrix=rho)
-    if abs(out.trace() - rho0.trace()) > 1e-10:
-        raise DomainError("trace not preserved by Liouville step")
+    guard(abs(out.trace() - rho0.trace()), 1e-10,
+          "trace not preserved by Liouville step", DomainError)
     _check_tail(out, "liouville_step")
     return out
 

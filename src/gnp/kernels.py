@@ -180,9 +180,10 @@ def sigma_to_g(sigma) -> np.ndarray:
     vals = np.linalg.eigvals(M)
     bad = (np.abs(vals.imag) < 1e-10) & (np.abs(vals.real) <= 1.0 + 1e-10)
     if np.any(bad):
+        bad, where = matcore.first_failing(vals, bad)
         raise DomainError(
-            f"sigma*Omega has eigenvalue(s) {vals[bad]} in [-1, 1]; "
-            "arccoth is undefined there (unphysical sigma)"
+            f"sigma*Omega has eigenvalue(s) {bad} in [-1, 1]; "
+            f"arccoth is undefined there (unphysical sigma){where}"
         )
     arccoth = lambda x: 0.5 * np.log((x + 1.0) / (x - 1.0))
     return 2.0 * Om @ matcore.mat_analytic(M, arccoth)

@@ -35,15 +35,25 @@ def _as_squares(M) -> np.ndarray:
     return M
 
 
-def _guard(values, limit: float, message: str) -> None:
-    """Raise NumericalError(message.format(value, limit)) when a value is
-    non-finite or above limit; values of a stack name the first failing one."""
+def guard(values, limit: float, message: str, error=NumericalError) -> None:
+    """Raise error(message.format(value, limit)) when a value is non-finite
+    or above limit; values of a stack name the first failing one."""
     values = np.asarray(values, dtype=float)
     bad = ~np.isfinite(values) | (values > limit)
     if bad.any():
         k = int(bad.argmax())
         where = f" at matrix {k}" if values.ndim else ""
-        raise NumericalError(message.format(values.flat[k], limit) + where)
+        raise error(message.format(values.flat[k], limit) + where)
+
+
+def first_failing(values, bad) -> tuple[np.ndarray, str]:
+    """values[bad] of one matrix's (d,) values, and ""; for an (m, d) stack,
+    the bad values of the first matrix with any and " at matrix k", as guard
+    names it."""
+    if values.ndim == 1:
+        return values[bad], ""
+    k = int(bad.any(axis=-1).argmax())
+    return values[k][bad[k]], f" at matrix {k}"
 
 
 def structured(kind: str, n_modes: int) -> np.ndarray:
@@ -91,15 +101,15 @@ def eig_decomp(M) -> EigDecomp:
     M = _as_squares(M)
     values, vectors = np.linalg.eig(M)
     cond = np.linalg.cond(vectors)
-    _guard(cond, COND_LIMIT, "eigenbasis condition {:.3e} exceeds {:.1e}; "
-           "matrix is defective or near-defective")
+    guard(cond, COND_LIMIT, "eigenbasis condition {:.3e} exceeds {:.1e}; "
+          "matrix is defective or near-defective")
     dec = EigDecomp(values=values, right_vectors=vectors,
                     inverse_vectors=np.linalg.inv(vectors),
                     condition_estimate=float(cond) if M.ndim == 2 else cond)
     scale = np.maximum(np.linalg.norm(M, axis=(-2, -1)), 1e-300)
     residual = np.linalg.norm(dec.reconstruct() - M, axis=(-2, -1)) / scale
-    _guard(residual, TOL_EIG,
-           "eigendecomposition reconstruction residual {:.3e} > {:.0e}")
+    guard(residual, TOL_EIG,
+          "eigendecomposition reconstruction residual {:.3e} > {:.0e}")
     return dec
 
 
@@ -124,8 +134,8 @@ def mat_analytic(M, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     if fvals.shape != dec.values.shape:
         raise ValueError("f must map the eigenvalue vector elementwise")
     if not np.all(np.isfinite(fvals)):
-        bad = dec.values[~np.isfinite(fvals)]
-        raise DomainError(f"function not finite at eigenvalue(s) {bad}")
+        bad, where = first_failing(dec.values, ~np.isfinite(fvals))
+        raise DomainError(f"function not finite at eigenvalue(s) {bad}{where}")
     return (dec.right_vectors * fvals[..., None, :]) @ dec.inverse_vectors
 
 
@@ -144,13 +154,13 @@ def dense_solve(M, B) -> np.ndarray:
     """
     M = _as_squares(M)
     B = np.asarray(B, dtype=complex)
-    _guard(np.linalg.cond(M), COND_LIMIT, "matrix condition {:.3e} exceeds {:.1e}")
+    guard(np.linalg.cond(M), COND_LIMIT, "matrix condition {:.3e} exceeds {:.1e}")
     X = np.linalg.solve(M, B)
     axes = (-1,) if B.ndim == 1 else (-2, -1)
     scale = np.maximum(np.linalg.norm(B, axis=axes), 1e-300)
     residual = np.linalg.norm(M @ X - B, axis=axes) / scale
-    _guard(residual if M.ndim == 3 else np.max(residual), TOL_SOLVE,
-           "solve residual {:.3e} > {:.0e}")
+    guard(residual if M.ndim == 3 else np.max(residual), TOL_SOLVE,
+          "solve residual {:.3e} > {:.0e}")
     return X
 
 

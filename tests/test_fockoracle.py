@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
 from gnp import dynamics, fockoracle as fo, kernels
 from gnp.errors import DomainError, TruncationError
@@ -47,32 +48,20 @@ def test_gaussian_density_refuses_cutoff_below_two(cutoff):
         fo.gaussian_density(fo.PhysicalSpec(kind="thermal", omegas=[LN2]), cutoff)
 
 
-def test_annihilator_matrix_elements():
-    a = fo.annihilator(1, 1, 5).matrix
-    expected = np.diag(np.sqrt([1.0, 2.0, 3.0, 4.0]), 1)
-    np.testing.assert_allclose(a, expected)
-
-
-def test_annihilator_two_modes_commute():
-    a1 = fo.annihilator(2, 1, 4).matrix
-    a2 = fo.annihilator(2, 2, 4).matrix
-    np.testing.assert_allclose(a1 @ a2, a2 @ a1, atol=1e-14)
-
-
 def test_quad_operator_number_form():
     # M = E gives a^+ a + 1/2 away from the truncation edge
     D = 12
-    op = fo.quad_operator(structured("E", 1), D).matrix
+    op = fo.quad_operator(structured("E", 1), D)
     diag = np.diag(op).real
     np.testing.assert_allclose(diag[:-1], np.arange(D - 1) + 0.5, atol=1e-13)
 
 
 def test_quad_operator_zero_and_squeeze_forms():
     D = 8
-    zero = fo.quad_operator(np.zeros((2, 2)), D).matrix
+    zero = fo.quad_operator(np.zeros((2, 2)), D)
     assert np.abs(zero).max() == 0.0
-    a = fo.annihilator(1, 1, D).matrix
-    sq = fo.quad_operator(np.eye(2), D).matrix
+    a = dense_ladder_vector(1, D)[0]
+    sq = fo.quad_operator(np.eye(2), D)
     np.testing.assert_allclose(sq, 0.5 * (a @ a + a.conj().T @ a.conj().T),
                                atol=1e-13)
 
@@ -80,14 +69,11 @@ def test_quad_operator_zero_and_squeeze_forms():
 @pytest.mark.parametrize("n_modes,cutoff", [(1, 9), (2, 5), (3, 3)])
 def test_kron_terms_equal_dense_products(n_modes, cutoff):
     rng = np.random.default_rng(n_modes)
-    A = dense_ladder_vector(n_modes, cutoff)
-    for mode in range(1, n_modes + 1):
-        assert np.array_equal(fo.annihilator(n_modes, mode, cutoff).matrix, A[mode - 1])
     for _ in range(3):
         d = 2 * n_modes
         M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         M[rng.uniform(size=(d, d)) < 0.3] = 0.0
-        assert np.array_equal(fo.quad_operator(M, cutoff).matrix,
+        assert np.array_equal(fo.quad_operator(M, cutoff),
                               dense_quad_operator(M, cutoff))
 
 
@@ -219,6 +205,19 @@ def test_a_non_hermitian_exponent_in_one_group_raises():
         fo.gaussian_density(spec, 8)
 
 
+@pytest.mark.parametrize("factor", [0.5, 2.0, np.nan])
+def test_hermitian_guard_inside_outside_and_at_nan(factor):
+    # |M - M^+| reads factor * 1e-12 in entry (0, 1)
+    M = np.eye(2, dtype=complex)
+    M[0, 1] = factor * 1e-12
+    if factor < 1:
+        np.testing.assert_allclose(fo._hermitian_function(M, np.exp, "msg"),
+                                   np.e * np.eye(2), rtol=1e-15)
+    else:
+        with pytest.raises(DomainError, match="^msg$"):
+            fo._hermitian_function(M, np.exp, "msg")
+
+
 def test_the_tail_guard_reads_the_product_of_the_groups():
     # three one-mode groups at cutoff 8: their product reads 4.8e-4
     with pytest.raises(TruncationError,
@@ -241,8 +240,8 @@ def test_thermal_density_bose_einstein_diagonal():
 
 def test_thermal_mean_occupation():
     D = 40
-    n_op = fo.annihilator(1, 1, D).matrix
-    n_op = n_op.conj().T @ n_op
+    a = dense_ladder_vector(1, D)[0]
+    n_op = a.conj().T @ a
     rho1 = fo.gaussian_density(fo.PhysicalSpec("thermal", [LN2]), D).matrix
     assert abs(np.trace(rho1 @ n_op).real - 1.0) < 1e-10
     rho3 = fo.gaussian_density(fo.PhysicalSpec("thermal", [3.0]), D).matrix
@@ -300,6 +299,12 @@ def test_check_tail_warns_just_inside_error(n_modes):
 def test_check_tail_raises_just_outside_error(n_modes):
     with pytest.raises(TruncationError, match="ctx: tail mass"):
         fo._check_tail(diagonal_density(n_modes, fo.TAIL_ERROR * (1 + 1e-6)), "ctx")
+
+
+def test_check_tail_raises_at_a_nan_population():
+    rho = fo.FockOperator(1, 3, np.diag([1.0, 0.0, np.nan]))
+    with pytest.raises(TruncationError, match=r"^ctx: tail mass nan > 1e-04$"):
+        fo._check_tail(rho, "ctx")
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +412,32 @@ def test_coherent_vectors_raise_when_any_row_loses_norm():
         fo.coherent_vectors([[0.5, 0.1], [0.2, 4.0], [0.0, 0.0]], 10)
 
 
+@pytest.mark.parametrize("factor", [0.5, 2.0, np.nan])
+def test_coherent_norm_guard_inside_outside_and_at_nan(factor):
+    # at cutoff D the lost norm is the regularized lower incomplete gamma
+    # P(D, |z|^2), so this |z| loses factor * 1e-8
+    z = np.sqrt(scipy.special.gammaincinv(10, factor * 1e-8))
+    if factor < 1:
+        v = fo.coherent_vectors([[z]], 10)[0]
+        assert abs(1.0 - np.linalg.norm(v) ** 2 - 0.5e-8) <= 1e-15
+    else:
+        with pytest.raises(TruncationError,
+                           match=rf"loses norm {factor * 1e-8:.3e} at cutoff 10$"):
+            fo.coherent_vectors([[z]], 10)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0, np.nan])
+def test_q_imaginary_part_guard_inside_outside_and_at_nan(factor):
+    # <0| rho |0> = 1 + i factor 1e-10
+    rho = fo.FockOperator(1, 3, np.diag([1.0 + 1j * factor * 1e-10, 0.0, 0.0]))
+    if factor < 1:
+        assert fo.q_values(rho, [[0.0]]).tolist() == [1.0]
+    else:
+        with pytest.raises(DomainError, match=rf"^<Z\|rho\|Z> has imaginary part "
+                           rf"{factor * 1e-10:.3e}; rho is not Hermitian enough$"):
+            fo.q_values(rho, [[0.0]])
+
+
 @pytest.mark.parametrize("n_modes", [1, 2])
 def test_q_values_match_the_per_point_sandwich(n_modes):
     rho = oracle_density(n_modes)
@@ -480,6 +511,17 @@ def test_r_from_q_hessian_refuses_a_cutoff_without_two_excitations():
         fo.r_from_q_hessian(fo.FockOperator(1, 2, np.diag([1.0, 0.0])))
 
 
+@pytest.mark.parametrize("rho00,matrix", [
+    (r"0\.000e\+00", np.diag([0.0, 1.0, 0.0, 0.0, 0.0])),  # the Fock state |1><1|
+    ("nan", np.full((5, 5), np.nan)),
+], ids=["fock-1", "nan"])
+def test_r_from_q_hessian_refuses_a_vacuum_element_not_positive(rho00, matrix):
+    # Q(0) = rho_00: where it is zero or NaN, -ln Q has no Hessian
+    with pytest.raises(DomainError,
+                       match=rf"^rho_00 = {rho00} is not finite and positive"):
+        fo.r_from_q_hessian(fo.FockOperator(1, 5, matrix))
+
+
 @pytest.mark.parametrize("n_modes", [1, 2, 3])
 def test_r_from_q_hessian_is_the_negated_published_kernel(n_modes):
     spec = ORACLE_CASES[n_modes][0]
@@ -498,12 +540,32 @@ def test_liouville_thermal_stationary():
     np.testing.assert_allclose(rho_t.matrix, rho0.matrix, atol=1e-12)
 
 
+@pytest.mark.parametrize("factor", [0.5, 2.0, np.nan])
+def test_liouville_trace_guard_inside_outside_and_at_nan(factor, monkeypatch):
+    # a propagator scaled by sqrt(1 + delta) changes the unit trace by delta;
+    # at NaN the density itself is NaN
+    nan = np.isnan(factor)
+    delta = 0.0 if nan else factor * 1e-10
+    hermitian_function = fo._hermitian_function
+    monkeypatch.setattr(fo, "_hermitian_function",
+                        lambda M, f, error: hermitian_function(M, f, error)
+                        * np.sqrt(1 + delta))
+    rho0 = fo.FockOperator(1, 3, np.full((3, 3), np.nan) if nan
+                           else np.diag([1.0, 0.0, 0.0]))
+    if factor < 1:
+        rho_t = fo.liouville_step(rho0, np.zeros((2, 2)), 0.5)
+        assert abs(rho_t.trace() - 1.0 - delta) <= 1e-15
+    else:
+        with pytest.raises(DomainError, match="^trace not preserved by Liouville step$"):
+            fo.liouville_step(rho0, np.zeros((2, 2)), 0.5)
+
+
 def test_liouville_squeezing_excites_vacuum():
     # near-vacuum under the squeeze generator: <n>(t) = sinh^2 t
     D = 40
     rho0 = fo.gaussian_density(fo.PhysicalSpec("thermal", [20.0]), D)
     rho_t = fo.liouville_step(rho0, np.eye(2), 0.5)
-    a = fo.annihilator(1, 1, D).matrix
+    a = dense_ladder_vector(1, D)[0]
     n_mean = np.trace(rho_t.matrix @ (a.conj().T @ a)).real
     assert abs(n_mean - np.sinh(0.5) ** 2) < 1e-6
 

@@ -101,6 +101,16 @@ def test_sigma_to_g_domain_guard_just_inside_and_outside():
         kernels.sigma_to_g((1 + 1e-11) * np.eye(2))
 
 
+def test_sigma_to_g_domain_guard_names_the_failing_matrix():
+    message = (r"sigma\*Omega has eigenvalue\(s\) \[ 0\.5\+0\.j -0\.5\+0\.j\] in "
+               r"\[-1, 1\]; arccoth is undefined there \(unphysical sigma\)")
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        kernels.sigma_to_g(0.5 * np.eye(2))
+    sigmas = np.array([2.0 * np.eye(2), 0.5 * np.eye(2), 3.0 * np.eye(2)])
+    with pytest.raises(DomainError, match=f"^{message} at matrix 1$"):
+        kernels.sigma_to_g(sigmas)
+
+
 # ---------------------------------------------------------------------------
 # spectra
 

@@ -216,6 +216,15 @@ def test_mat_analytic_pole_raises_domain_error():
         matcore.mat_analytic(M, lambda x: 1.0 / np.tanh(x))
 
 
+def test_mat_analytic_pole_names_the_failing_matrix():
+    coth = lambda x: 1.0 / np.tanh(x)
+    with pytest.raises(DomainError,
+                       match=r"^function not finite at eigenvalue\(s\) \[0\.\+0\.j\]$"):
+        matcore.mat_analytic(np.diag([1.0, 0.0]), coth)
+    with pytest.raises(DomainError, match=r"eigenvalue\(s\) \[0\.\+0\.j\] at matrix 1$"):
+        matcore.mat_analytic(_stack_of_three(np.diag([1.0, 0.0])), coth)
+
+
 def test_dense_solve_and_inverse():
     rng = np.random.default_rng(7)
     M = rng.standard_normal((5, 5)) + 5 * np.eye(5)
