@@ -24,7 +24,6 @@ from .kernels import (
     CALIBRATED,
     ensure_form,
     make_squeezed_thermal,
-    make_thermal,
     trace_of_normal_exponential,
 )
 from .fockoracle import PhysicalSpec, gaussian_density, q_of_rho, r_from_q_hessian
@@ -114,17 +113,13 @@ PREFACTOR_TOL = 1e-4
 
 
 def calibration_suite():
-    """(label, published state, physical spec) triples used for calibration."""
+    """(label, published state, physical spec) triples used for calibration:
+    one squeezed thermal family, three members of it thermal (r = 0)."""
     suite = []
-    for om in (0.3, np.log(2.0), 2.0):
-        label = f"thermal(omega={om:.4g})"
-        suite.append((label, make_thermal([om]),
-                      PhysicalSpec(kind="thermal", omegas=[om])))
-    for om, r in ((1.0, 0.25), (0.7, 0.5)):
-        label = f"squeezed-thermal(omega={om:.4g}, r={r:.4g})"
-        suite.append((label, make_squeezed_thermal([om], [r]),
-                      PhysicalSpec(kind="squeezed-thermal",
-                                   omegas=[om], squeezes=[r])))
+    for om, r in ((0.3, 0.0), (np.log(2.0), 0.0), (2.0, 0.0), (1.0, 0.25), (0.7, 0.5)):
+        kind = "squeezed-thermal" if r else "thermal"
+        suite.append((f"{kind}(omega={om:.4g}, r={r:.4g})",
+                      make_squeezed_thermal([om], [r]), PhysicalSpec(kind, [om], [r])))
     return suite
 
 

@@ -142,9 +142,13 @@ def cmd_audit(args) -> int:
     state, _, ham = _read_inputs(args)
     R0 = kernels.ensure_form(state, "R")
     ordering = dynamics.ordering_audit(R0, ham.H, args.t)
-    convention = dynamics.convention_audit(state, ham.H, args.t)
+    failure = None
+    try:
+        convention = asdict(dynamics.convention_audit(state, ham.H, args.t))
+    except GnpError as exc:     # descriptive only: keep what was computed
+        failure, convention = exc, {"error": str(exc)}
     report = {"tool": f"gnp {__version__}", "ordering": asdict(ordering),
-              "convention": asdict(convention)}
+              "convention": convention}
     if ordering.vacuous:
         print("ordering audit: vacuous (flow variants indistinguishable here)")
     else:
@@ -163,6 +167,8 @@ def cmd_audit(args) -> int:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote audit report to {args.output}")
+    if failure is not None:
+        raise failure
     return EXIT_OK
 
 

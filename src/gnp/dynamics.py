@@ -59,6 +59,8 @@ class QuadraticHamiltonian:
         d = 2 * self.n_modes
         if H.shape != (d, d):
             raise ValueError(f"expected shape {(d, d)}, got {H.shape}")
+        if not np.all(np.isfinite(H)):
+            raise ValueError("H must be finite")
         if np.abs(H.imag).max() > 1e-12 or np.abs(H - H.T).max() > 1e-12:
             raise ValueError("H must be real symmetric")
         if np.linalg.eigvalsh(H.real).min() <= 0:

@@ -89,15 +89,15 @@ def quad_operator(M, cutoff: int) -> np.ndarray:
 
 @dataclass
 class PhysicalSpec:
-    """Physical-side construction data for the calibration states.
+    """Physical side of the calibration states: one squeezed thermal family.
 
-    The operator kernel puts omega*E on each mode's (a_i, a_i^+) pair, so a
-    thermal spec exponentiates to e^{-sum omega_i (a_i^+ a_i + 1/2)};
-    squeezing conjugates that kernel by the mode-wise squeeze symplectic S,
-    which is the identity for a thermal spec.
-    This deliberately differs from the K-tilde = diag(omega, omega) normal
-    form of the as-published layer; the bridge between the two is what the
-    calibration measures.
+    The operator kernel puts omega*E on each mode's (a_i, a_i^+) pair, which
+    exponentiates to e^{-sum omega_i (a_i^+ a_i + 1/2)}, conjugated by the
+    mode-wise squeeze symplectic S that the oracle builds itself.  `kind` only
+    decides r: 0 for "thermal", given for "squeezed-thermal".  Omegas must be
+    finite and positive (DomainError), with one finite r per mode.  The kernel
+    deliberately differs from the as-published normal form K-tilde =
+    diag(omega, omega); the bridge between the two is what calibration measures.
     """
 
     kind: str                       # "thermal" | "squeezed-thermal"
@@ -106,24 +106,21 @@ class PhysicalSpec:
     operator_kernel: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.omegas = np.atleast_1d(np.asarray(self.omegas, dtype=float))
-        if np.any(self.omegas <= 0):
-            raise DomainError("thermal frequencies must be positive")
-        n = len(self.omegas)
-        kernel = np.kron(structured("E", 1), np.diag(self.omegas))
-        if self.kind == "thermal":
-            self.squeezes = np.zeros(n)
-        elif self.kind == "squeezed-thermal":
-            if self.squeezes is None:
-                raise ValueError("squeezed-thermal spec needs squeeze parameters")
-            self.squeezes = np.atleast_1d(np.asarray(self.squeezes, dtype=float))
-            if len(self.squeezes) != n:
-                raise ValueError("need one squeeze parameter per mode")
-        else:
+        if self.kind not in ("thermal", "squeezed-thermal"):
             raise ValueError(f"unknown spec kind {self.kind!r}")
-        c, s = np.diag(np.cosh(self.squeezes)), np.diag(np.sinh(self.squeezes))
+        omegas = self.omegas = np.atleast_1d(np.asarray(self.omegas, dtype=float))
+        if self.kind == "thermal":
+            self.squeezes = np.zeros(omegas.shape)
+        elif self.squeezes is None:
+            raise ValueError("squeezed-thermal spec needs squeeze parameters")
+        rs = self.squeezes = np.atleast_1d(np.asarray(self.squeezes, dtype=float))
+        if not np.all((omegas > 0) & (omegas < np.inf)):
+            raise DomainError("thermal frequencies must be finite and positive")
+        if len(rs) != len(omegas) or not np.all(np.isfinite(rs)):
+            raise ValueError("need one finite squeeze parameter per mode")
+        c, s = np.diag(np.cosh(rs)), np.diag(np.sinh(rs))
         S = np.block([[c, s], [s, c]])
-        self.operator_kernel = S.T @ kernel @ S
+        self.operator_kernel = S.T @ np.kron(structured("E", 1), np.diag(omegas)) @ S
 
 
 def _check_tail(rho: FockOperator, context: str):

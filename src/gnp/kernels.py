@@ -285,6 +285,8 @@ def symplectic_spectrum(G) -> SymplecticSpectrum:
     ascending together with nu_i = (1 + e^-omega_i)/(1 - e^-omega_i).
     """
     G = np.asarray(G, dtype=complex)
+    if not np.all(np.isfinite(G)):
+        raise DomainError("G must be finite")
     if np.abs(G.imag).max() > 1e-12 or np.abs(G - G.T).max() > 1e-12:
         raise DomainError("G must be real symmetric")
     if np.linalg.eigvalsh(G.real).min() <= 0:
@@ -304,13 +306,6 @@ def symplectic_spectrum(G) -> SymplecticSpectrum:
     return SymplecticSpectrum(omegas=omegas, nus=_eq9_ratio(omegas))
 
 
-def _check_omegas(omegas) -> np.ndarray:
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if np.any(omegas <= 0):
-        raise DomainError("all Williamson frequencies must be positive")
-    return omegas
-
-
 def squeeze_symplectic(rs) -> np.ndarray:
     """Mode-wise single-mode squeeze blocks assembled into a 2n x 2n symplectic:
 
@@ -325,18 +320,21 @@ def squeeze_symplectic(rs) -> np.ndarray:
 def make_thermal(omegas) -> GaussianState:
     """Thermal normal form G = diag(omega, omega): squeezed thermal at r = 0,
     where S = I leaves G and sigma exactly diagonal."""
-    omegas = _check_omegas(omegas)
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     state = make_squeezed_thermal(omegas, np.zeros_like(omegas))
     state.provenance = f"thermal(omegas={omegas.tolist()})"
     return state
 
 
 def make_squeezed_thermal(omegas, rs) -> GaussianState:
-    """Squeezed thermal state: G = S^T K-tilde S, sigma = S^-1 nu-tilde S^-T."""
-    omegas = _check_omegas(omegas)
+    """Squeezed thermal state: G = S^T K-tilde S, sigma = S^-1 nu-tilde S^-T,
+    for finite positive omegas (else DomainError) and one finite r per mode."""
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
-    if len(rs) != len(omegas):
-        raise ValueError("need one squeeze parameter per mode")
+    if not np.all((omegas > 0) & (omegas < np.inf)):
+        raise DomainError("all Williamson frequencies must be finite and positive")
+    if len(rs) != len(omegas) or not np.all(np.isfinite(rs)):
+        raise ValueError("need one finite squeeze parameter per mode")
     S = squeeze_symplectic(rs)
     Ktilde = np.diag(np.concatenate([omegas, omegas]))
     nus = _eq9_ratio(omegas)

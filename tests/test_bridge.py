@@ -18,6 +18,19 @@ def test_suite_composition():
     assert kinds.count("squeezed-thermal") == 2
 
 
+def test_suite_members_are_one_family_on_both_sides():
+    # each published state is the squeezed thermal state of its spec's
+    # (omega, r), and a thermal member is r = 0 on both sides
+    for _, state, spec in bridge.calibration_suite():
+        same = kernels.make_squeezed_thermal(spec.omegas, spec.squeezes)
+        for form in ("G", "sigma"):
+            assert np.array_equal(state.forms[form], same.forms[form])
+        if spec.kind == "thermal":
+            assert not spec.squeezes.any()
+            assert np.array_equal(state.forms["G"],
+                                  kernels.make_thermal(spec.omegas).forms["G"])
+
+
 @pytest.fixture(scope="module")
 def report():
     return bridge.calibrate(cutoff=30)

@@ -454,6 +454,25 @@ def test_audit_vacuous_flag(thermal_file, tmp_path, capsys):
     assert report["ordering"]["vacuous"]
 
 
+def test_audit_keeps_its_report_when_the_convention_audit_fails(ham_file, tmp_path,
+                                                                capsys):
+    # the descriptive convention audit's sigma route fails a condition guard
+    # at t = 20; the ordering result is still written, and the command exits 2
+    state_file = tmp_path / "t.json"
+    stateio.write_state(state_file, kernels.make_thermal([1.3]), "G")
+    out = tmp_path / "audit.json"
+    assert cli.main(["audit", str(state_file), "--ham", ham_file, "--t", "20",
+                     "-o", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert report["ordering"]["consistent_variants"] == ["b"]
+    assert set(report["convention"]) == {"error"}
+    assert report["convention"]["error"].startswith("matrix condition ")
+    captured = capsys.readouterr()
+    assert "variant(s): b" in captured.out
+    assert captured.out.endswith(f"wrote audit report to {out}\n")
+    assert captured.err == f"error: {report['convention']['error']}\n"
+
+
 def test_audit_with_oracle(thermal_file, ham_file, tmp_path, capsys):
     out = tmp_path / "audit.json"
     assert cli.main(["audit", thermal_file, "--ham", ham_file, "--t", "1",

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from gnp import dynamics, kernels, matcore
 from gnp.matcore import structured
 
-from util import random_symmetric, random_valid_g
+from util import off_real_symmetric, random_symmetric, random_valid_g
 
 LN2 = np.log(2.0)
 
@@ -256,6 +256,21 @@ def test_rk4_covariance_matches_symplectic_closed_form():
     traj = dynamics.integrate_rk4("covariance", st.forms["sigma"], H, 1.0, 500)
     closed = dynamics.covariance_propagate(st.forms["sigma"], H, 1.0)
     np.testing.assert_allclose(traj.kernels[-1], closed, atol=1e-8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hamiltonian_refuses_a_non_finite_kernel(bad):
+    with pytest.raises(ValueError, match="^H must be finite$"):
+        dynamics.QuadraticHamiltonian(1, [[bad, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("part", ["asymmetric", "imaginary"])
+def test_hamiltonian_real_symmetric_bound_just_inside_and_outside(part):
+    # the bound is 1e-12 on |Im H| and on |H - H^T|
+    ham = dynamics.QuadraticHamiltonian(1, off_real_symmetric(part, 0.5e-12))
+    assert ham.H.dtype == float
+    with pytest.raises(ValueError, match="^H must be real symmetric$"):
+        dynamics.QuadraticHamiltonian(1, off_real_symmetric(part, 2e-12))
 
 
 def test_rk4_rejects_bad_inputs():

@@ -119,6 +119,20 @@ def test_thermal_spec_is_the_unsqueezed_conjugation():
         assert np.array_equal(thermal.operator_kernel, zero.operator_kernel)
 
 
+@pytest.mark.parametrize("omega", [np.nan, np.inf, 0.0])
+@pytest.mark.parametrize("kind", ["thermal", "squeezed-thermal"])
+def test_spec_refuses_a_frequency_not_finite_and_positive(kind, omega):
+    with pytest.raises(DomainError,
+                       match="^thermal frequencies must be finite and positive$"):
+        fo.PhysicalSpec(kind, [omega], None if kind == "thermal" else [0.3])
+
+
+@pytest.mark.parametrize("rs", [[np.nan], [np.inf], [0.3, 0.1]])
+def test_spec_needs_one_finite_squeeze_per_mode(rs):
+    with pytest.raises(ValueError, match="^need one finite squeeze parameter per mode$"):
+        fo.PhysicalSpec("squeezed-thermal", [1.0], rs)
+
+
 def dense_padded_density(K, cutoff):
     """One dense exponential of (1/2) A^T K A on the padded (cutoff + PAD)^n
     space, normalised, cut back to the cutoff and renormalised."""

@@ -7,7 +7,7 @@ from gnp import bridge, kernels
 from gnp.errors import DomainError
 from gnp.matcore import structured
 
-from util import random_valid_g
+from util import off_real_symmetric, random_valid_g
 
 LN2 = np.log(2.0)
 
@@ -42,6 +42,23 @@ def test_thermal_is_exactly_diagonal(omegas):
     np.testing.assert_array_equal(st.forms["G"], np.diag(omegas + omegas))
     np.testing.assert_array_equal(st.forms["sigma"], np.diag(np.concatenate([nus, nus])))
     assert st.provenance == f"thermal(omegas={omegas})"
+
+
+@pytest.mark.parametrize("omega", [np.nan, np.inf, 0.0])
+@pytest.mark.parametrize("make", [
+    lambda om: kernels.make_thermal([om]),
+    lambda om: kernels.make_squeezed_thermal([om], [0.3])],
+    ids=["thermal", "squeezed-thermal"])
+def test_family_refuses_a_frequency_not_finite_and_positive(make, omega):
+    with pytest.raises(DomainError,
+                       match="^all Williamson frequencies must be finite and positive$"):
+        make(omega)
+
+
+@pytest.mark.parametrize("rs", [[np.nan], [np.inf], [0.3, 0.1]])
+def test_squeezed_thermal_needs_one_finite_squeeze_per_mode(rs):
+    with pytest.raises(ValueError, match="^need one finite squeeze parameter per mode$"):
+        kernels.make_squeezed_thermal([1.0], rs)
 
 
 def test_squeezed_thermal_consistency():
@@ -127,6 +144,23 @@ def test_symplectic_spectrum_invariant_under_squeezing():
     st = kernels.make_squeezed_thermal([0.9, 1.3], [0.3, 0.1])
     spec = kernels.symplectic_spectrum(st.forms["G"])
     np.testing.assert_allclose(spec.omegas, [0.9, 1.3], atol=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_symplectic_spectrum_refuses_a_non_finite_g(bad):
+    G = np.eye(2)
+    G[0, 1] = G[1, 0] = bad
+    with pytest.raises(DomainError, match="^G must be finite$"):
+        kernels.symplectic_spectrum(G)
+
+
+@pytest.mark.parametrize("part", ["asymmetric", "imaginary"])
+def test_symplectic_spectrum_real_symmetric_bound_just_inside_and_outside(part):
+    # the bound is 1e-12 on |Im G| and on |G - G^T|
+    spec = kernels.symplectic_spectrum(off_real_symmetric(part, 0.5e-12))
+    np.testing.assert_allclose(spec.omegas, [1.0], atol=1e-9)
+    with pytest.raises(DomainError, match="^G must be real symmetric$"):
+        kernels.symplectic_spectrum(off_real_symmetric(part, 2e-12))
 
 
 def test_symplectic_spectrum_rejects_asymmetric():

@@ -295,6 +295,18 @@ def test_gauss_integral_rejects_growth_and_unbalanced():
         phasespace.gauss_integral(np.diag([1.0, 2.0]), np.zeros(2))
 
 
+@pytest.mark.parametrize("scale", [0.5, 4.0])
+def test_gauss_integral_equal_block_bound_just_inside_and_outside(scale):
+    # the diagonal blocks may differ by 1e-10 * max(1, max|V|)
+    limit = 1e-10 * max(1.0, scale)
+    V = lambda delta: np.diag([scale, scale + delta])
+    inside = phasespace.gauss_integral(V(0.5 * limit), np.zeros(2))
+    np.testing.assert_allclose(inside, 1.0 / scale, rtol=1e-9)
+    with pytest.raises(DomainError,
+                       match="^closed form requires equal diagonal blocks of V$"):
+        phasespace.gauss_integral(V(2.0 * limit), np.zeros(2))
+
+
 def test_gauss_integral_refuses_a_nan_amplitude():
     with pytest.raises(NumericalError, match="solve residual nan > 1e-10$"):
         phasespace.gauss_integral(1.5 * np.eye(2), np.array([np.nan, 0.2]))

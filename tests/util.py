@@ -23,6 +23,17 @@ def random_valid_g(n_modes, rng):
     return 0.5 * (G + G.T)
 
 
+def off_real_symmetric(part, delta):
+    """The 2 x 2 identity moved off the real symmetric class by exactly delta:
+    an asymmetric off-diagonal entry or an imaginary diagonal part."""
+    M = np.eye(2, dtype=complex)
+    if part == "asymmetric":
+        M[0, 1] = delta
+    else:
+        M[0, 0] += 1j * delta
+    return M
+
+
 def random_symmetric(dim, rng, scale=1.0):
     M = rng.standard_normal((dim, dim)) * scale
     return 0.5 * (M + M.T)

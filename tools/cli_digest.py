@@ -22,8 +22,9 @@ files; evolve closed (both variants, 100 and 1000 steps) and RK4 (100 and
 200 steps) on the sigma and R files and on three-mode thermal omega =
 0.6/1.0/1.5 ones at t = 0, 0.7 and 2, plus error, one-step, zero- and
 negative-step (both methods) and overflowing runs; audit on every file but
-the three-mode G and C ones, on a stationary kernel, at t = 60, with
---with-oracle at --cutoff 30, at the default cutoff and at the refused
+the three-mode G and C ones, on a stationary kernel, at t = 60, at t = 20
+(where the convention audit fails and the report keeps the ordering audit),
+with --with-oracle at --cutoff 30, at the default cutoff and at the refused
 cutoffs 0 and 1, and once with a Hamiltonian of the wrong mode count.
 """
 
@@ -139,6 +140,7 @@ def commands(modes: dict) -> list:
     cmds += [
         ["audit", "t1_R.json", "--ham", "hE.json", "-o", "out.json"],
         ["audit", "t1_G.json", "--ham", "hgrow.json", "--t", "60", "-o", "out.json"],
+        ["audit", "t1_G.json", "--ham", "h1.json", "--t", "20", "-o", "out.json"],
         *[["audit", "t1_G.json", "--ham", "h1.json", "--with-oracle",
            "--cutoff", cutoff, "-o", "out.json"] for cutoff in ("30", "0", "1")],
         ["audit", "t1_G.json", "--ham", "h1.json", "--with-oracle", "-o", "out.json"],
