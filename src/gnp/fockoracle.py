@@ -59,8 +59,8 @@ def _ladder(cutoff: int) -> np.ndarray:
 
 def _kron(factors) -> np.ndarray:
     """Kronecker product of one cutoff x cutoff factor per mode, mode 1 first."""
-    out = np.eye(1)
-    for f in factors:
+    out = factors[0]
+    for f in factors[1:]:
         out = np.kron(out, f)
     return out
 
@@ -70,17 +70,20 @@ def quad_operator(M, cutoff: int) -> np.ndarray:
     Kronecker term per nonzero M_ij.
 
     A_i is a (i < n) or a^+ (i >= n) on mode i % n; on a shared mode the two
-    single-mode factors are multiplied first.
+    single-mode factors are multiplied first; the four such products and the
+    identity are built once per call.
     """
     M = np.asarray(M, dtype=complex)
     n = M.shape[0] // 2
     a = _ladder(cutoff)
     ladder = (a, a.T)
+    products = [[x @ y for y in ladder] for x in ladder]
+    eye = np.eye(cutoff)
     out = np.zeros((cutoff ** n,) * 2, dtype=complex)
     for i, j in zip(*np.nonzero(M)):
-        factors = [np.eye(cutoff)] * n
+        factors = [eye] * n
         if i % n == j % n:
-            factors[i % n] = ladder[i // n] @ ladder[j // n]
+            factors[i % n] = products[i // n][j // n]
         else:
             factors[i % n], factors[j % n] = ladder[i // n], ladder[j // n]
         out += 0.5 * M[i, j] * _kron(factors)
@@ -94,7 +97,8 @@ class PhysicalSpec:
     The operator kernel puts omega*E on each mode's (a_i, a_i^+) pair, which
     exponentiates to e^{-sum omega_i (a_i^+ a_i + 1/2)}, conjugated by the
     mode-wise squeeze symplectic S that the oracle builds itself.  `kind` only
-    decides r: 0 for "thermal", given for "squeezed-thermal".  Omegas must be
+    decides r: 0 for "thermal" (a nonzero or NaN squeeze given to it raises
+    ValueError), given for "squeezed-thermal".  Omegas must be
     finite and positive (DomainError), with one finite r per mode.  The kernel
     deliberately differs from the as-published normal form K-tilde =
     diag(omega, omega); the bridge between the two is what calibration measures.
@@ -110,6 +114,8 @@ class PhysicalSpec:
             raise ValueError(f"unknown spec kind {self.kind!r}")
         omegas = self.omegas = np.atleast_1d(np.asarray(self.omegas, dtype=float))
         if self.kind == "thermal":
+            if self.squeezes is not None and np.any(np.asarray(self.squeezes) != 0):
+                raise ValueError("thermal spec takes no nonzero squeeze parameter")
             self.squeezes = np.zeros(omegas.shape)
         elif self.squeezes is None:
             raise ValueError("squeezed-thermal spec needs squeeze parameters")
@@ -170,7 +176,9 @@ def gaussian_density(spec: PhysicalSpec, cutoff: int) -> FockOperator:
     """rho = e^{-G-hat} / Tr e^{-G-hat} with G-hat = (1/2) A^T kernel A.
 
     G-hat is a sum of commuting terms, one per connected group of coupled
-    modes, so e^{-G-hat} is the tensor product of one exponential per group.
+    modes, so e^{-G-hat} is the tensor product of one exponential per group:
+    each is reshaped to cutoff on its modes' bra and ket axes and 1 on the
+    others, and the groups multiply into one broadcast product.
     Each group's exponent is assembled on a space padded by PAD extra levels
     per mode and the result projected back, so the top retained level carries
     its physical population rather than the artifact of cutting the quadratic
@@ -182,14 +190,15 @@ def gaussian_density(spec: PhysicalSpec, cutoff: int) -> FockOperator:
         raise ValueError("cutoff must be >= 2")
     kernel = spec.operator_kernel
     n = len(kernel) // 2
-    operands = []
+    rho = None
     for group in _mode_groups(kernel):
         # the kernel rows of the group's a_i and a_i^+, which are also the
-        # bra and ket axes of its modes in rho
+        # bra and ket axes of its modes in rho; they increase, so a reshape
+        # with 1 on every other axis puts the block on them
         axes = list(group) + [n + i for i in group]
         block = _padded_density(kernel[np.ix_(axes, axes)], cutoff)
-        operands += [block.reshape((cutoff,) * len(axes)), axes]
-    rho = np.einsum(*operands, list(range(2 * n)))
+        block = block.reshape([cutoff if k in axes else 1 for k in range(2 * n)])
+        rho = block if rho is None else rho * block
     op = FockOperator(n_modes=n, cutoff=cutoff,
                       matrix=rho.reshape(cutoff ** n, cutoff ** n))
     _check_tail(op, "gaussian_density")

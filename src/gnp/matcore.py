@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, NumericalError
 
@@ -115,6 +114,8 @@ def eig_decomp(M) -> EigDecomp:
 
 def mat_exp(M) -> np.ndarray:
     """Matrix exponential (via scipy) of M or of each matrix of a stack."""
+    import scipy.linalg    # here, so that importing gnp does not load scipy
+
     M = _as_squares(M)
     out = scipy.linalg.expm(M)
     if not np.all(np.isfinite(out)):

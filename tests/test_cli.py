@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -481,3 +485,14 @@ def test_audit_with_oracle(thermal_file, ham_file, tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["bridge"]["r_map"] == "negate"
     assert report["bridge"]["residual"] <= 1e-6
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    # each gnp command is a fresh process; scipy loads only where it is used
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, gnp.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

@@ -133,6 +133,21 @@ def test_spec_needs_one_finite_squeeze_per_mode(rs):
         fo.PhysicalSpec("squeezed-thermal", [1.0], rs)
 
 
+@pytest.mark.parametrize("rs", [[0.3], [np.nan]])
+def test_thermal_spec_refuses_a_nonzero_squeeze(rs):
+    with pytest.raises(ValueError,
+                       match="^thermal spec takes no nonzero squeeze parameter$"):
+        fo.PhysicalSpec("thermal", [1.0], rs)
+
+
+def test_thermal_spec_accepts_zero_squeezes():
+    # calibration_suite passes r = 0 to its thermal members
+    spec = fo.PhysicalSpec("thermal", [1.0], [0.0])
+    assert np.array_equal(spec.squeezes, [0.0])
+    assert np.array_equal(spec.operator_kernel,
+                          fo.PhysicalSpec("thermal", [1.0]).operator_kernel)
+
+
 def dense_padded_density(K, cutoff):
     """One dense exponential of (1/2) A^T K A on the padded (cutoff + PAD)^n
     space, normalised, cut back to the cutoff and renormalised."""
@@ -209,6 +224,34 @@ def test_groups_land_on_their_mode_axes():
         np.einsum("abcdbf->acdf", r).reshape(cutoff ** 2, cutoff ** 2),
         dense_padded_density(spec.operator_kernel[np.ix_(pair, pair)], cutoff),
         rtol=0, atol=1e-15)
+
+
+def einsum_assembly(spec, cutoff):
+    """The per-group padded densities put on their modes' axes by one einsum."""
+    kernel = spec.operator_kernel
+    n = len(kernel) // 2
+    operands = []
+    for group in fo._mode_groups(kernel):
+        axes = list(group) + [n + i for i in group]
+        block = fo._padded_density(kernel[np.ix_(axes, axes)], cutoff)
+        operands += [block.reshape((cutoff,) * len(axes)), axes]
+    return np.einsum(*operands, list(range(2 * n))).reshape(cutoff ** n, cutoff ** n)
+
+
+@pytest.mark.parametrize("case", ["separable", "interleaved"])
+def test_broadcast_product_equals_the_einsum_assembly(case):
+    # equal values, bit for bit; an exactly zero imaginary part may carry the
+    # other sign, which np.array_equal does not see
+    if case == "separable":
+        spec, cutoff = fo.PhysicalSpec("squeezed-thermal", [1.7, 2.1], [0.2, 0.1]), 12
+    else:       # modes 1 and 3 coupled, mode 2 free, as in the test above
+        spec = beam_split(fo.PhysicalSpec("squeezed-thermal", [3.5, 2.8, 4.0],
+                                          [0.1, -0.2, 0.15]), 0, 2, 0.4)
+        cutoff = 7
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rho = fo.gaussian_density(spec, cutoff).matrix
+    assert np.array_equal(rho, einsum_assembly(spec, cutoff))
 
 
 def test_a_non_hermitian_exponent_in_one_group_raises():
