@@ -24,9 +24,10 @@ from .kernels import (
     CALIBRATED,
     ensure_form,
     make_squeezed_thermal,
+    sigma_to_r,
     trace_of_normal_exponential,
 )
-from .fockoracle import PhysicalSpec, gaussian_density, q_of_rho, r_from_q_hessian
+from .fockoracle import PhysicalSpec, gaussian_densities, q_of_rho, r_from_q_hessian
 from .matcore import structured
 
 
@@ -168,21 +169,22 @@ def _degeneracy_groups(mapped):
 def calibrate(cutoff: int = DEFAULT_CUTOFF) -> CalibrationReport:
     """Score every kernel map and prefactor rule against the Fock oracle.
 
+    The suite is read as stacks: the published R of all members from one
+    sigma_to_r, their physical densities from one gaussian_densities call
+    (one stacked exponential), then each member's exact Hessian read and Q(0).
+
     Raises NumericalError if no hypothesis meets tolerance or if two
     genuinely distinct kernel maps both survive.
     """
-    suite = calibration_suite()
+    _, states, specs = zip(*calibration_suite())
     report = CalibrationReport(cutoff=cutoff)
 
-    published_Rs, physical_Rs, q_origins = [], [], []
-    for _, state, spec in suite:
-        published_Rs.append(ensure_form(state, "R"))
-        rho = gaussian_density(spec, cutoff)
-        physical_Rs.append(r_from_q_hessian(rho))
-        q_origins.append(q_of_rho(rho, 0.0))
+    published = sigma_to_r(np.array([ensure_form(s, "sigma") for s in states]))
+    rhos = gaussian_densities(specs, cutoff)
+    physical = np.array([r_from_q_hessian(rho) for rho in rhos])
+    q_origins = [q_of_rho(rho, 0.0) for rho in rhos]
 
     # each map applied once to the suite stack; every score below reads these
-    published, physical = np.array(published_Rs), np.array(physical_Rs)
     mapped = {name: apply_r_map(published, name) for name in R_MAPS}
     for name, Rs in mapped.items():
         report.kernel_residuals[name] = float(np.abs(Rs - physical).max())

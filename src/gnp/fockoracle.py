@@ -80,7 +80,8 @@ def quad_operator(M, cutoff: int) -> np.ndarray:
     products = [[x @ y for y in ladder] for x in ladder]
     eye = np.eye(cutoff)
     out = np.zeros((cutoff ** n,) * 2, dtype=complex)
-    for i, j in zip(*np.nonzero(M)):
+    rows, cols = np.nonzero(M)
+    for i, j in zip(rows.tolist(), cols.tolist()):
         factors = [eye] * n
         if i % n == j % n:
             factors[i % n] = products[i // n][j // n]
@@ -99,7 +100,9 @@ class PhysicalSpec:
     mode-wise squeeze symplectic S that the oracle builds itself.  `kind` only
     decides r: 0 for "thermal" (a nonzero or NaN squeeze given to it raises
     ValueError), given for "squeezed-thermal".  Omegas must be
-    finite and positive (DomainError), with one finite r per mode.  The kernel
+    finite and positive (DomainError), with one finite r per mode; squeezes
+    that overflow the kernel (|r| from about 355 at omega = 1) raise
+    DomainError.  The kernel
     deliberately differs from the as-published normal form K-tilde =
     diag(omega, omega); the bridge between the two is what calibration measures.
     """
@@ -124,9 +127,13 @@ class PhysicalSpec:
             raise DomainError("thermal frequencies must be finite and positive")
         if len(rs) != len(omegas) or not np.all(np.isfinite(rs)):
             raise ValueError("need one finite squeeze parameter per mode")
-        c, s = np.diag(np.cosh(rs)), np.diag(np.sinh(rs))
-        S = np.block([[c, s], [s, c]])
-        self.operator_kernel = S.T @ np.kron(structured("E", 1), np.diag(omegas)) @ S
+        with np.errstate(over="ignore", invalid="ignore"):
+            c, s = np.diag(np.cosh(rs)), np.diag(np.sinh(rs))
+            S = np.block([[c, s], [s, c]])
+            K = S.T @ np.kron(structured("E", 1), np.diag(omegas)) @ S
+        if not np.all(np.isfinite(K)):
+            raise DomainError(f"squeezes {rs.tolist()} give a non-finite operator kernel")
+        self.operator_kernel = K
 
 
 def _check_tail(rho: FockOperator, context: str):
@@ -137,10 +144,12 @@ def _check_tail(rho: FockOperator, context: str):
 
 
 def _hermitian_function(M: np.ndarray, f, error: str) -> np.ndarray:
-    """V f(w) V^+ for the eigen-decomposition V diag(w) V^+ of a Hermitian M."""
-    guard(np.abs(M - M.conj().T).max(), 1e-12, error, DomainError)
+    """V f(w) V^+ for the eigen-decomposition V diag(w) V^+ of a Hermitian M,
+    or of each matrix of a stack (f maps the (..., d) eigenvalues)."""
+    Mh = np.swapaxes(M.conj(), -1, -2)
+    guard(np.abs(M - Mh).max(axis=(-2, -1)), 1e-12, error, DomainError)
     w, V = np.linalg.eigh(M)
-    return (V * f(w)) @ V.conj().T
+    return (V * f(w)[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
 
 
 def _mode_groups(kernel) -> list[tuple[int, ...]]:
@@ -159,50 +168,77 @@ def _mode_groups(kernel) -> list[tuple[int, ...]]:
 
 def _padded_density(kernel, cutoff: int) -> np.ndarray:
     """e^{-G-hat} normalised on a space padded by PAD levels per mode, cut
-    back to its top-left cutoff^m block and renormalised."""
-    m = len(kernel) // 2
+    back to its top-left cutoff^m block and renormalised; a stack of kernels
+    gives one such block per kernel, through one eigh."""
+    kernel = np.asarray(kernel)
+    lead, m = kernel.shape[:-2], kernel.shape[-1] // 2
     big = cutoff + PAD
+    ops = (quad_operator(kernel, big) if kernel.ndim == 2    # one kernel per call
+           else np.array([quad_operator(k, big) for k in kernel]))
     rho = _hermitian_function(
-        quad_operator(kernel, big),
-        lambda w: np.exp(-(w - w.min())),    # shift for overflow safety
+        ops, lambda w: np.exp(-(w - w.min(axis=-1, keepdims=True))),   # overflow shift
         "physical kernel produced a non-Hermitian exponent")
-    rho /= np.trace(rho).real
-    rho = rho.reshape((big,) * (2 * m))[(slice(cutoff),) * (2 * m)]
-    rho = rho.reshape(cutoff ** m, cutoff ** m)
-    return rho / np.trace(rho).real
+    rho /= _traces(rho)
+    rho = rho.reshape(lead + (big,) * (2 * m))[(...,) + (slice(cutoff),) * (2 * m)]
+    rho = rho.reshape(lead + (cutoff ** m, cutoff ** m))
+    return rho / _traces(rho)
 
 
-def gaussian_density(spec: PhysicalSpec, cutoff: int) -> FockOperator:
-    """rho = e^{-G-hat} / Tr e^{-G-hat} with G-hat = (1/2) A^T kernel A.
+def _traces(rho: np.ndarray) -> np.ndarray:
+    """Real traces of a matrix or of each matrix of a stack, shaped to divide it."""
+    return np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def gaussian_densities(specs, cutoff: int) -> list[FockOperator]:
+    """rho = e^{-G-hat} / Tr e^{-G-hat} with G-hat = (1/2) A^T kernel A, for
+    each spec of a list whose kernels share one structure of coupled modes.
 
     G-hat is a sum of commuting terms, one per connected group of coupled
-    modes, so e^{-G-hat} is the tensor product of one exponential per group:
-    each is reshaped to cutoff on its modes' bra and ket axes and 1 on the
-    others, and the groups multiply into one broadcast product.
+    modes, so e^{-G-hat} is the tensor product of one exponential per group.
+    Each group's exponents are built for all specs as one stack; each block
+    is reshaped to cutoff on its modes' bra and ket axes and 1 on the others,
+    and a density's groups multiply into one broadcast product.
     Each group's exponent is assembled on a space padded by PAD extra levels
     per mode and the result projected back, so the top retained level carries
     its physical population rather than the artifact of cutting the quadratic
     generator (which zeroes a a^+ on the last level and under-penalizes it).
     A kernel that couples every mode is one group: one exponential on the
-    padded (cutoff + PAD)^n space.  Raises ValueError for cutoff < 2.
+    padded (cutoff + PAD)^n space.  The tail guard runs on each density.
+    Raises ValueError for cutoff < 2 and for specs whose kernels couple their
+    modes in different groups (or no specs).
     """
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
-    kernel = spec.operator_kernel
-    n = len(kernel) // 2
-    rho = None
-    for group in _mode_groups(kernel):
+    structures = {tuple(_mode_groups(spec.operator_kernel)) for spec in specs}
+    if len(structures) != 1:
+        raise ValueError("specs must share one structure of coupled modes, "
+                         f"got {sorted(structures)}")
+    kernels = np.array([spec.operator_kernel for spec in specs])
+    if len(specs) == 1:
+        kernels = kernels[0]        # one kernel: its guard names no member
+    n = kernels.shape[-1] // 2
+    rhos = [None] * len(specs)
+    for group in structures.pop():
         # the kernel rows of the group's a_i and a_i^+, which are also the
         # bra and ket axes of its modes in rho; they increase, so a reshape
         # with 1 on every other axis puts the block on them
         axes = list(group) + [n + i for i in group]
-        block = _padded_density(kernel[np.ix_(axes, axes)], cutoff)
-        block = block.reshape([cutoff if k in axes else 1 for k in range(2 * n)])
-        rho = block if rho is None else rho * block
-    op = FockOperator(n_modes=n, cutoff=cutoff,
-                      matrix=rho.reshape(cutoff ** n, cutoff ** n))
-    _check_tail(op, "gaussian_density")
-    return op
+        shape = [cutoff if k in axes else 1 for k in range(2 * n)]
+        blocks = _padded_density(kernels[..., axes, :][..., axes], cutoff)
+        blocks = blocks.reshape([len(specs)] + shape)
+        rhos = [block if rho is None else rho * block for rho, block in zip(rhos, blocks)]
+    ops = []
+    for rho in rhos:
+        op = FockOperator(n_modes=n, cutoff=cutoff,
+                          matrix=rho.reshape(cutoff ** n, cutoff ** n))
+        _check_tail(op, "gaussian_density")
+        ops.append(op)
+    return ops
+
+
+def gaussian_density(spec: PhysicalSpec, cutoff: int) -> FockOperator:
+    """The density of one spec: gaussian_densities([spec], cutoff)[0]."""
+    return gaussian_densities([spec], cutoff)[0]
 
 
 def coherent_vectors(zs, cutoff: int) -> np.ndarray:
@@ -256,27 +292,24 @@ def r_from_q_hessian(rho: FockOperator) -> np.ndarray:
     excitations: delta_ij - rho_{e_j,e_i} in the cross blocks,
     -c_ij rho_{0,e_i+e_j} and -c_ij rho_{e_i+e_j,0} (c_ii = sqrt 2, else 1) in
     the diagonal ones, plus v v^T with v = (rho_{0,e_i}, rho_{e_i,0}).
+    Each element is read from rho.matrix by index: the occupation e_i is row
+    (or column) cutoff^(n-1-i), and e_i + e_j the sum of two such indices.
     """
     n = rho.n_modes
     if rho.cutoff < 3:
         raise ValueError("the log-Hessian reads two excitations: cutoff must be >= 3")
-    r = rho.matrix.reshape((rho.cutoff,) * (2 * n))    # r[m_1..m_n, k_1..k_n]
-    if not (np.isfinite(r.flat[0]) and r.flat[0].real > 0):
-        raise DomainError(f"rho_00 = {r.flat[0].real:.3e} is not finite and positive: "
+    r = rho.matrix
+    r00 = r[0, 0]
+    if not (np.isfinite(r00) and r00.real > 0):
+        raise DomainError(f"rho_00 = {r00.real:.3e} is not finite and positive: "
                           "-ln Q has no Hessian at the origin")
-    one = np.eye(n, dtype=int)                          # row i: e_i
-    two, zero = one[:, None] + one[None, :], np.zeros(n, dtype=int)
-
-    def element(bra, ket):
-        """rho_{bra,ket} / rho_00 over broadcast stacks of occupations."""
-        levels = np.concatenate(np.broadcast_arrays(bra, ket), axis=-1)
-        return r[tuple(np.moveaxis(levels, -1, 0))] / r.flat[0]
-
+    one = rho.cutoff ** np.arange(n - 1, -1, -1)    # index of e_i
+    two = one[:, None] + one[None, :]               # index of e_i + e_j
     c = 1.0 + (np.sqrt(2.0) - 1.0) * np.eye(n)
-    cross = np.eye(n) - element(one[None], one[:, None])   # [i, j]: rho_{e_j,e_i}
-    v = np.concatenate([element(zero, one), element(one, zero)])
-    return np.block([[-c * element(zero, two), cross],
-                     [cross.T, -c * element(two, zero)]]) + np.outer(v, v)
+    cross = np.eye(n) - r[one[None, :], one[:, None]] / r00   # [i, j]: rho_{e_j,e_i}
+    v = np.concatenate([r[0, one], r[one, 0]]) / r00
+    return np.block([[-c * (r[0, two] / r00), cross],
+                     [cross.T, -c * (r[two, 0] / r00)]]) + np.outer(v, v)
 
 
 def liouville_step(rho0: FockOperator, H_kernel, t: float) -> FockOperator:

@@ -488,11 +488,16 @@ def test_audit_with_oracle(thermal_file, ham_file, tmp_path, capsys):
 
 
 def test_importing_the_cli_does_not_load_scipy():
-    # each gnp command is a fresh process; scipy loads only where it is used
+    # each gnp command is a fresh process; scipy loads only where it is used,
+    # and the import itself loads nothing but the standard library, numpy and
+    # gnp (modules a site hook loaded before it are not counted)
     src = Path(cli.__file__).resolve().parents[1]
-    code = ("import sys, gnp.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys; before = set(sys.modules); import gnp.cli; "
+            "new = set(sys.modules) - before; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print(sorted({m.split('.')[0] for m in new} "
+            "- set(sys.stdlib_module_names)))")
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out == "[]\n"
+    assert out == "[]\n['gnp', 'numpy']\n"

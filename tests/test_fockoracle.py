@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from gnp import dynamics, fockoracle as fo, kernels
+from gnp import bridge, dynamics, fockoracle as fo, kernels
 from gnp.errors import DomainError, TruncationError
 from gnp.matcore import structured
 
@@ -140,6 +140,21 @@ def test_thermal_spec_refuses_a_nonzero_squeeze(rs):
         fo.PhysicalSpec("thermal", [1.0], rs)
 
 
+@pytest.mark.parametrize("r", [300.0, -300.0, 400.0, -400.0])
+def test_spec_refuses_a_squeeze_whose_kernel_overflows(r):
+    # the kernel carries cosh(2r) ~ e^{2|r|}/2: finite at |r| = 300
+    # (1e260), past the largest double at |r| = 400
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if abs(r) < 355:
+            assert np.all(np.isfinite(
+                fo.PhysicalSpec("squeezed-thermal", [1.0], [r]).operator_kernel))
+        else:
+            with pytest.raises(DomainError, match=rf"^squeezes \[{r}\] give a "
+                               "non-finite operator kernel$"):
+                fo.PhysicalSpec("squeezed-thermal", [1.0], [r])
+
+
 def test_thermal_spec_accepts_zero_squeezes():
     # calibration_suite passes r = 0 to its thermal members
     spec = fo.PhysicalSpec("thermal", [1.0], [0.0])
@@ -260,6 +275,48 @@ def test_a_non_hermitian_exponent_in_one_group_raises():
     with pytest.raises(DomainError,
                        match="^physical kernel produced a non-Hermitian exponent$"):
         fo.gaussian_density(spec, 8)
+
+
+def per_kernel_density(kernel, cutoff):
+    """One one-mode kernel's density built on its own: one quad_operator,
+    one eigh with the overflow shift, the trace normalisation, the cut back
+    to cutoff levels and the second normalisation."""
+    big = cutoff + fo.PAD
+    w, V = np.linalg.eigh(fo.quad_operator(kernel, big))
+    rho = (V * np.exp(-(w - w.min()))) @ V.conj().T
+    rho /= np.trace(rho).real
+    rho = rho.reshape(big, big)[:cutoff, :cutoff].reshape(cutoff, cutoff)
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("cutoff", [30, 40])
+def test_the_stacked_suite_equals_one_build_per_kernel(cutoff):
+    specs = [spec for _, _, spec in bridge.calibration_suite()]
+    rhos = fo.gaussian_densities(specs, cutoff)
+    assert len(rhos) == len(specs)
+    for spec, rho in zip(specs, rhos):
+        expected = per_kernel_density(spec.operator_kernel, cutoff)
+        assert np.array_equal(rho.matrix, expected)
+        assert np.array_equal(fo.gaussian_density(spec, cutoff).matrix, expected)
+
+
+@pytest.mark.parametrize("specs", [
+    [fo.PhysicalSpec("thermal", [0.7]), fo.PhysicalSpec("thermal", [0.7, 1.9])],
+    [fo.PhysicalSpec("squeezed-thermal", [1.7, 2.1], [0.2, 0.1]),
+     beam_split(fo.PhysicalSpec("squeezed-thermal", [1.7, 2.1], [0.2, 0.1]), 0, 1, 0.4)],
+    [],
+], ids=["mode-counts", "coupled-and-separable", "none"])
+def test_densities_need_one_structure_of_coupled_modes(specs):
+    with pytest.raises(ValueError, match="^specs must share one structure of coupled modes"):
+        fo.gaussian_densities(specs, 8)
+
+
+def test_a_non_hermitian_member_of_a_stack_is_named():
+    specs = [fo.PhysicalSpec("thermal", [0.7]), fo.PhysicalSpec("thermal", [0.9])]
+    specs[1].operator_kernel[0, 0] += 0.3        # a a without a^+ a^+
+    with pytest.raises(DomainError, match="^physical kernel produced a "
+                       "non-Hermitian exponent at matrix 1$"):
+        fo.gaussian_densities(specs, 8)
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0, np.nan])
@@ -519,6 +576,45 @@ def test_r_from_q_hessian_matches_the_nested_loop_hessian(density):
     rho = density()
     np.testing.assert_allclose(fo.r_from_q_hessian(rho),
                                per_point_r_from_q_hessian(rho), rtol=0, atol=1e-9)
+
+
+def element_assembly_hessian(rho):
+    """The Hessian read through a tensor view of rho and broadcast stacks of
+    occupations: the reference for the read by index."""
+    n = rho.n_modes
+    r = rho.matrix.reshape((rho.cutoff,) * (2 * n))
+    one = np.eye(n, dtype=int)
+    two, zero = one[:, None] + one[None, :], np.zeros(n, dtype=int)
+
+    def element(bra, ket):
+        levels = np.concatenate(np.broadcast_arrays(bra, ket), axis=-1)
+        return r[tuple(np.moveaxis(levels, -1, 0))] / r.flat[0]
+
+    c = 1.0 + (np.sqrt(2.0) - 1.0) * np.eye(n)
+    cross = np.eye(n) - element(one[None], one[:, None])
+    v = np.concatenate([element(zero, one), element(one, zero)])
+    return np.block([[-c * element(zero, two), cross],
+                     [cross.T, -c * element(two, zero)]]) + np.outer(v, v)
+
+
+def interleaved_density():
+    # modes 1 and 3 coupled, mode 2 free, as in test_groups_land_on_their_mode_axes
+    spec = beam_split(fo.PhysicalSpec("squeezed-thermal", [3.5, 2.8, 4.0],
+                                      [0.1, -0.2, 0.15]), 0, 2, 0.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return fo.gaussian_density(spec, 7)
+
+
+@pytest.mark.parametrize("density", [
+    lambda: oracle_density(1),
+    lambda: oracle_density(2),
+    interleaved_density,
+    lambda: rotated_density(2, 0.7),
+], ids=["1", "2-separable", "3-interleaved", "rotated-2m"])
+def test_the_read_by_index_equals_the_element_assembly(density):
+    rho = density()
+    assert np.array_equal(fo.r_from_q_hessian(rho), element_assembly_hessian(rho))
 
 
 def test_each_q_reader_builds_its_coherent_states_once(monkeypatch):

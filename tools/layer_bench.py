@@ -20,17 +20,23 @@ The cases are the Fock oracle (L4) and the calibration (L5):
 gaussian_density on a separable two-mode squeezed thermal spec at cutoffs
 14, 18 and 22, on a one-mode spec at 40 and on a beam-split (coupled)
 two-mode spec at 12; quad_operator on the one-mode kernel at 48; one
-liouville_step of a one-mode thermal density at 40; and calibrate(40).
+liouville_step of a one-mode thermal density at 40; r_from_q_hessian of the
+separable two-mode density at 22; calibrate(40); and an in-process
+`gnp audit --with-oracle --cutoff 40` through cli.main on a one-mode
+squeezed thermal state, its files in a temporary directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from importlib import metadata
@@ -41,10 +47,11 @@ REPEATS = 21
 MIN_TIME = 0.02     # seconds of calls per repeat
 
 
-def cases() -> list:
-    """(layer, name, call) for every case, built from the imported gnp."""
+def cases(workdir: Path) -> list:
+    """(layer, name, call) for every case, built from the imported gnp; the
+    audit case's files go in workdir."""
     import numpy as np
-    from gnp import bridge, fockoracle as fo
+    from gnp import bridge, cli, dynamics, fockoracle as fo, kernels, stateio
 
     separable = fo.PhysicalSpec("squeezed-thermal", [1.8, 2.2], [0.2, 0.1])
     coupled = fo.PhysicalSpec("squeezed-thermal", [1.8, 2.2], [0.2, 0.1])
@@ -56,6 +63,17 @@ def cases() -> list:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rho = fo.gaussian_density(thermal, 40)
+        rho_separable = fo.gaussian_density(separable, 22)
+    state, ham = workdir / "state.json", workdir / "ham.json"
+    stateio.write_state(state, kernels.make_squeezed_thermal([0.8], [0.3]), "sigma")
+    stateio.write_hamiltonian(ham, dynamics.QuadraticHamiltonian(1, [[0.9, 0.2], [0.2, 0.7]]))
+    audit = ["audit", str(state), "--ham", str(ham), "--t", "1", "--with-oracle",
+             "--cutoff", "40", "-o", str(workdir / "audit.json")]
+
+    def run_audit():
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(audit) != 0:
+                raise RuntimeError("gnp audit failed")
     table = [("L4", f"gaussian_density 2-mode separable cutoff {cutoff}",
               lambda cutoff=cutoff: fo.gaussian_density(separable, cutoff))
              for cutoff in (14, 18, 22)]
@@ -67,7 +85,10 @@ def cases() -> list:
          lambda: fo.quad_operator(one.operator_kernel, 48)),
         ("L4", "liouville_step 1-mode cutoff 40",
          lambda: fo.liouville_step(rho, thermal.operator_kernel, 0.7)),
+        ("L4", "r_from_q_hessian 2-mode separable cutoff 22",
+         lambda: fo.r_from_q_hessian(rho_separable)),
         ("L5", "calibrate cutoff 40", lambda: bridge.calibrate(40)),
+        ("L5", "gnp audit --with-oracle cutoff 40", run_audit),
     ]
 
 
@@ -128,9 +149,9 @@ def measure(src: Path, repeats: int = REPEATS, min_time: float = MIN_TIME) -> di
         "scipy": metadata.version("scipy"),
         "cases": [],
     }
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as workdir:
         warnings.simplefilter("ignore")              # tail-mass notices
-        for layer, name, call in cases():
+        for layer, name, call in cases(Path(workdir)):
             result["cases"].append({"layer": layer, "name": name,
                                     **time_case(call, repeats, min_time)})
     return result
