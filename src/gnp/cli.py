@@ -133,7 +133,7 @@ def cmd_phase(args) -> int:
         print(f"husimi normalization integral: {total!r}")
     table = phasespace.grid_eval(state, fn, grid, convention=args.convention)
     with open(args.output, "w") as fh:
-        fh.write(table.to_csv())
+        fh.write(stateio.phase_table_to_csv(table))
     print(f"wrote {len(table.points)}-point {fn} table to {args.output}")
     return EXIT_OK
 

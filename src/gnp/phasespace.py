@@ -5,8 +5,9 @@ coherent-state Gaussian integral, grid evaluation and a numerical
 normalization check.  Phase-space points are complex arrays throughout: a
 single-point evaluator takes the n mode amplitudes z, and a grid is one (m,)
 array of single-mode amplitudes, row-major over (re, im), from
-PhaseGrid.points() to the CSV.  The integration measure is fixed to d^2z/pi
-per mode; every PhaseTable records it.
+PhaseGrid.points() to the PhaseTable.  The integration measure is fixed to
+d^2z/pi per mode; every PhaseTable records it.  This module holds no file
+format: gnp.stateio writes and reads phase tables.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .matcore import structured
 
 MEASURE_NOTE = "d^2z/pi per mode"
 QUAD_POINTS = 201      # points per axis of the q_norm_check quadrature
-CSV_HEADER = "re,im,value_re,value_im"
 
 
 @dataclass(frozen=True)
@@ -57,53 +57,6 @@ class PhaseTable:
     points: np.ndarray            # (m,) single-mode amplitudes z
     values: np.ndarray            # (m,) function values
     measure_note: str = MEASURE_NOTE
-
-    def to_csv(self) -> str:
-        lines = [f"# function_kind={self.function_kind}",
-                 f"# convention={self.convention}",
-                 f"# measure_note={self.measure_note}",
-                 CSV_HEADER]
-        lines += _csv_rows(np.stack([self.points.real, self.points.imag,
-                                     self.values.real, self.values.imag],
-                                    axis=1, dtype=float))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_csv(text: str) -> "PhaseTable":
-        meta = {}
-        rows = []
-        for line in text.splitlines():
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                meta[key] = val
-            elif line.strip():
-                rows.append(line)
-        if not rows or rows[0] != CSV_HEADER:
-            raise ValueError("unexpected phase CSV header")
-        fields = [[float(f) for f in row.split(",")] for row in rows[1:]]
-        if any(len(row) != 4 for row in fields):
-            raise ValueError("phase CSV rows need four fields")
-        # each row's (re, im) and (value_re, value_im) pairs read as complex
-        pairs = np.array(fields, dtype=float).reshape(-1, 4).view(complex)
-        return PhaseTable(function_kind=meta.get("function_kind", ""),
-                          convention=meta.get("convention", ""),
-                          points=pairs[:, 0], values=pairs[:, 1],
-                          measure_note=meta.get("measure_note", ""))
-
-
-def _csv_rows(table: np.ndarray) -> list:
-    """The comma-joined repr fields of each row of a float table.
-
-    repr runs once per distinct bit pattern, not per field: grid coordinates
-    repeat and Gaussian values repeat by symmetry.  Bit patterns, not values,
-    because 0.0 and -0.0 compare equal but print differently.
-    """
-    bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
-    texts = list(map(repr, bits.view(float).tolist()))
-    # the inverse's shape has changed across numpy 2.x releases
-    fields = [texts[i] for i in inverse.ravel().tolist()]
-    width = table.shape[1]
-    return list(map(",".join, zip(*(fields[j::width] for j in range(width)))))
 
 
 def _z_stack(z) -> np.ndarray:

@@ -1,9 +1,9 @@
-"""File formats: state/Hamiltonian JSON and trajectory CSV.
+"""File formats: state/Hamiltonian JSON, and trajectory and phase-table CSV.
 
 Complex entries are serialized as [re, im] pairs; floats are printed via
 repr (shortest round-trip), so every file round-trips through its own
-reader bit-exactly.  A trajectory CSV writes the dets and det drift that
-its Trajectory computed at construction; this module takes no det.
+reader bit-exactly.  Both CSVs are `# key=value` lines, a header and float
+rows, through one writer and one reader; this module takes no det.
 """
 
 from __future__ import annotations
@@ -15,6 +15,9 @@ import numpy as np
 from .dynamics import QuadraticHamiltonian, Trajectory
 from .errors import GnpError
 from .kernels import FORMS, GaussianState
+from .phasespace import PhaseTable
+
+_PHASE_COLUMNS = ["re", "im", "value_re", "value_im"]
 
 
 class ParseError(GnpError):
@@ -111,6 +114,46 @@ def read_hamiltonian(path) -> QuadraticHamiltonian:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _table_to_csv(meta: dict, header: list, table: np.ndarray) -> str:
+    """`# key=value` meta lines, the header and the repr fields of a float
+    table.  repr runs once per distinct bit pattern, not per field: values
+    repeat, and 0.0 and -0.0 compare equal but print differently."""
+    bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    # the inverse's shape has changed across numpy 2.x releases
+    fields = texts[inverse.reshape(table.shape)].tolist()
+    lines = [f"# {key}={value}" for key, value in meta.items()]
+    lines += [",".join(header), *map(",".join, fields)]
+    return "\n".join(lines) + "\n"
+
+
+def _csv_row(line: str, width: int) -> list:
+    # one row at a time: the split strings of a whole file would be held at once
+    fields = line.split(",")
+    if len(fields) != width:
+        raise ValueError(f"row has {len(fields)} fields, its header {width}")
+    return [float(v) for v in fields]
+
+
+def _table_from_csv(text: str):
+    """Inverse of _table_to_csv; returns (meta dict, header, (m, width) float
+    rows).  Raises ParseError on malformed text."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    n_meta = next((i for i, ln in enumerate(lines) if not ln.startswith("#")),
+                  len(lines))
+    if n_meta == len(lines):
+        raise ParseError("CSV missing its column header")
+    meta = {key: value for key, _, value in
+            (ln[1:].strip().partition("=") for ln in lines[:n_meta])}
+    header = lines[n_meta].split(",")
+    try:
+        rows = np.array([_csv_row(ln, len(header)) for ln in lines[n_meta + 1:]],
+                        dtype=float).reshape(-1, len(header))
+    except ValueError as exc:
+        raise ParseError(f"CSV: {exc}") from exc
+    return meta, header, rows
+
+
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Trajectory CSV: t, kernel entries re/im interleaved row-major, the
     trajectory's dets and det drift, and its symplectic residual if logged."""
@@ -122,39 +165,42 @@ def trajectory_to_csv(traj: Trajectory) -> str:
                     for part in ("re", "im")] + ["det_re", "det_im", *logged]
     table = np.column_stack([traj.times, K.astype(complex).reshape(m, -1).view(float),
                              traj.dets.real, traj.dets.imag, *logged.values()])
-    lines = [f"# kind={traj.kind}", ",".join(cols)]
-    lines += [",".join(map(repr, row)) for row in table.tolist()]
-    return "\n".join(lines) + "\n"
-
-
-def _csv_row(line: str, width: int) -> list:
-    # one row at a time: the split strings of a whole file would be held at once
-    fields = line.split(",")
-    if len(fields) != width:
-        raise ParseError(f"trajectory CSV row has {len(fields)} fields, "
-                         f"its header {width}")
-    return [float(v) for v in fields]
+    return _table_to_csv({"kind": traj.kind}, cols, table)
 
 
 def trajectory_from_csv(text: str):
     """Inverse of trajectory_to_csv; returns (kind, times (m,), kernels
     (m, d, d)).  Raises ParseError on malformed text."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# kind="):
+    meta, header, rows = _table_from_csv(text)
+    if "kind" not in meta:
         raise ParseError("trajectory CSV missing '# kind=' header")
-    if len(lines) < 2:
-        raise ParseError("trajectory CSV missing its column header")
-    kind = lines[0].split("=", 1)[1]
-    header = lines[1].split(",")
     n_entries = sum(1 for c in header if c.startswith("k") and c.endswith("_re"))
     dim = int(round(np.sqrt(n_entries)))
     if dim == 0 or dim * dim != n_entries:
         raise ParseError(f"trajectory CSV header has {n_entries} kernel entries, "
                          "not a nonzero square")
-    try:
-        rows = np.array([_csv_row(ln, len(header)) for ln in lines[2:]],
-                        dtype=float).reshape(-1, len(header))
-    except ValueError as exc:
-        raise ParseError(f"trajectory CSV: {exc}") from exc
-    flat = rows[:, 1:1 + 2 * dim * dim]
-    return kind, rows[:, 0], (flat[:, 0::2] + 1j * flat[:, 1::2]).reshape(-1, dim, dim)
+    # each (re, im) pair read as one complex, so -0.0 keeps its sign
+    K = rows[:, 1:1 + 2 * dim * dim].view(complex).reshape(-1, dim, dim)
+    return meta["kind"], rows[:, 0], K
+
+
+def phase_table_to_csv(table: PhaseTable) -> str:
+    """Phase CSV: the table's function kind, convention and measure as meta
+    lines, then one (re, im, value_re, value_im) row per point."""
+    meta = {"function_kind": table.function_kind, "convention": table.convention,
+            "measure_note": table.measure_note}
+    rows = np.stack([table.points.real, table.points.imag,
+                     table.values.real, table.values.imag], axis=1, dtype=float)
+    return _table_to_csv(meta, _PHASE_COLUMNS, rows)
+
+
+def phase_table_from_csv(text: str) -> PhaseTable:
+    """Inverse of phase_table_to_csv.  Raises ParseError on malformed text."""
+    meta, header, rows = _table_from_csv(text)
+    if header != _PHASE_COLUMNS:
+        raise ParseError(f"unexpected phase CSV header {','.join(header)!r}")
+    points, values = rows.view(complex).T      # (re, im), (value_re, value_im)
+    return PhaseTable(function_kind=meta.get("function_kind", ""),
+                      convention=meta.get("convention", ""),
+                      points=points, values=values,
+                      measure_note=meta.get("measure_note", ""))

@@ -142,9 +142,16 @@ def test_trajectory_csv_equals_the_per_row_writer():
         "real list": dynamics.Trajectory(
             kind="covariance", H=H, times=[0.0, 0.5],
             kernels=[sigma0.real, (2.0 * sigma0).real]),
+        # signed zeros and repeated values: the writer formats by bit pattern
+        "signed zeros": dynamics.Trajectory(
+            kind="normal", H=H, times=[0.0, 0.25, 0.5],
+            kernels=[np.array([[0.5, -0.0], [-0.0, 0.5]]),
+                     np.array([[0.5, complex(-0.0, 0.0)], [complex(0.0, -0.0), 0.5]]),
+                     np.array([[0.5, complex(0.25, -0.0)], [complex(0.25, 0.0), 0.5]])]),
     }
     # both log columns
     assert trajs["closed covariance"].symplectic_residual is not None
+    assert ",-0.0,0.0," in stateio.trajectory_to_csv(trajs["signed zeros"])
     for name, traj in trajs.items():
         assert stateio.trajectory_to_csv(traj) == trajectory_csv_reference(traj), name
 
@@ -157,6 +164,11 @@ def test_trajectory_csv_round_trip():
     assert kind == "normal"
     np.testing.assert_allclose(times, traj.times)
     np.testing.assert_array_equal(kernels_back[-1], traj.kernels[-1])
+    # each (re, im) pair reads back bit for bit, signed zeros included
+    K = np.array([[complex(-0.0, 0.5), -0.0], [0.5, 1.0]])
+    traj = dynamics.Trajectory(kind="normal", H=np.eye(2), times=[0.0], kernels=[K])
+    _, _, back = stateio.trajectory_from_csv(stateio.trajectory_to_csv(traj))
+    assert back.tobytes() == K.tobytes()
 
 
 _GOOD_CSV = stateio.trajectory_to_csv(dynamics.closed_form_trajectory(
@@ -409,8 +421,7 @@ def test_phase_grid_center(thermal_file, tmp_path, capsys):
     out = tmp_path / "q.csv"
     assert cli.main(["phase", thermal_file, "--fn", "q", "--grid=-2:2:41",
                      "--convention", "calibrated", "-o", str(out)]) == 0
-    from gnp.phasespace import PhaseTable
-    table = PhaseTable.from_csv(out.read_text())
+    table = stateio.phase_table_from_csv(out.read_text())
     center = table.values[np.abs(table.points) < 1e-12]
     assert len(center) == 1
     assert abs(center[0] - 0.5) < 1e-12

@@ -16,7 +16,7 @@ def test_every_case_runs_and_compares(capsys, tmp_path):
     result = json.loads(json.dumps(layer_bench.measure(src, repeats=1, min_time=0.0)))
     names = [case["name"] for case in result["cases"]]
     assert names == [name for _, name, _ in layer_bench.cases(tmp_path)]
-    assert len(set(names)) == len(names) == 10
+    assert len(set(names)) == len(names) == 12
     assert all(case["median_s"] > 0 and case["number"] == 1 for case in result["cases"])
     rows = layer_bench.compare(result, result)
     assert [(name, ratio, noise) for name, ratio, noise in rows] == \

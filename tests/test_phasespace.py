@@ -6,9 +6,10 @@ import io
 import numpy as np
 import pytest
 
-from gnp import bridge, kernels, matcore, phasespace
+from gnp import bridge, kernels, matcore, phasespace, stateio
 from gnp.errors import DomainError, NumericalError
 from gnp.phasespace import PhaseGrid, PhaseTable
+from gnp.stateio import phase_table_from_csv, phase_table_to_csv
 
 LN2 = np.log(2.0)
 
@@ -169,12 +170,12 @@ def test_phase_table_csv_round_trip():
     st = thermal()
     grid = PhaseGrid(re_range=(-2, 2, 5), im_range=(-2, 2, 5))
     table = phasespace.grid_eval(st, "husimi", grid, kernels.CALIBRATED)
-    text = table.to_csv()
-    back = PhaseTable.from_csv(text)
+    text = phase_table_to_csv(table)
+    back = phase_table_from_csv(text)
     assert back.function_kind == "husimi"
     assert back.convention == kernels.CALIBRATED
     assert back.measure_note == phasespace.MEASURE_NOTE
-    assert back.to_csv() == text      # bit-exact round trip
+    assert phase_table_to_csv(back) == text      # bit-exact round trip
     np.testing.assert_array_equal(back.points, table.points)
     np.testing.assert_array_equal(back.values, table.values)
 
@@ -200,19 +201,19 @@ def test_to_csv_equals_csv_writer_reference(axis):
     for st in (thermal(), kernels.make_squeezed_thermal([0.9], [0.3])):
         for kind, conv in _GRID_CASES:
             table = phasespace.grid_eval(st, kind, grid, conv)
-            text = table.to_csv()
+            text = phase_table_to_csv(table)
             assert text == _csv_writer_reference(table)
-            assert PhaseTable.from_csv(text).to_csv() == text
+            assert phase_table_to_csv(phase_table_from_csv(text)) == text
 
 
 def test_negative_zero_survives_the_csv():
     table = PhaseTable("husimi", kernels.CALIBRATED,
                        points=np.array([complex(-0.0, -0.0)]),
                        values=np.array([complex(0.5, -0.0)]))
-    text = table.to_csv()
+    text = phase_table_to_csv(table)
     assert text.splitlines()[-1] == "-0.0,-0.0,0.5,-0.0"
     assert text == _csv_writer_reference(table)
-    assert PhaseTable.from_csv(text).to_csv() == text
+    assert phase_table_to_csv(phase_table_from_csv(text)) == text
 
 
 def test_csv_formats_by_bit_pattern_not_by_value():
@@ -224,19 +225,29 @@ def test_csv_formats_by_bit_pattern_not_by_value():
     values = np.array([complex(-0.0, 0.0), complex(0.0, 1.5), complex(np.nan, nan2),
                        complex(1.5, -np.inf), complex(-0.0, np.nan)])
     table = PhaseTable("husimi", kernels.CALIBRATED, points=points, values=values)
-    text = table.to_csv()
+    text = phase_table_to_csv(table)
     assert text.splitlines()[4:6] == ["0.0,-0.0,-0.0,0.0", "-0.0,0.0,0.0,1.5"]
     assert text == _csv_writer_reference(table)
-    assert PhaseTable.from_csv(text).to_csv() == text
+    assert phase_table_to_csv(phase_table_from_csv(text)) == text
 
 
-def test_from_csv_rejects_a_foreign_header():
-    with pytest.raises(ValueError):
-        PhaseTable.from_csv("# function_kind=husimi\nx,y,u,v\n1,2,3,4\n")
-    with pytest.raises(ValueError):
-        PhaseTable.from_csv("# function_kind=husimi\n")
-    with pytest.raises(ValueError):
-        PhaseTable.from_csv("re,im,value_re,value_im\n" + "1,2,3\n" * 4)
+_GOOD_PHASE_CSV = ("# function_kind=husimi\nre,im,value_re,value_im\n"
+                   "0.0,0.0,0.5,0.0\n1.0,0.0,0.25,0.0\n")
+
+
+@pytest.mark.parametrize("text", [
+    "# function_kind=husimi\nx,y,u,v\n1,2,3,4\n",
+    "# function_kind=husimi\n",                                   # header only
+    "re,im,value_re,value_im\n" + "1,2,3\n" * 4,                  # three-field rows
+    _GOOD_PHASE_CSV.rsplit(",", 1)[0] + "\n",                   # short last row
+    _GOOD_PHASE_CSV.replace("0.5,", "half,", 1),                 # non-float field
+    _GOOD_PHASE_CSV + "# convention=calibrated\n",              # meta after header
+], ids=["foreign-header", "header-only", "three-field-rows", "short-row",
+        "non-float", "meta-after-header"])
+def test_from_csv_rejects_a_foreign_header(text):
+    assert phase_table_from_csv(_GOOD_PHASE_CSV).values[0] == 0.5
+    with pytest.raises(stateio.ParseError):
+        phase_table_from_csv(text)
 
 
 # ---------------------------------------------------------------------------

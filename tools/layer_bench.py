@@ -16,14 +16,18 @@ differ from that revision, the core count and the numpy and scipy versions.
 marked "noise" when the two interquartile ranges overlap.  Speed on a shared
 machine drifts within minutes, so compare runs taken in alternating pairs.
 
-The cases are the Fock oracle (L4) and the calibration (L5):
-gaussian_density on a separable two-mode squeezed thermal spec at cutoffs
-14, 18 and 22, on a one-mode spec at 40 and on a beam-split (coupled)
-two-mode spec at 12; quad_operator on the one-mode kernel at 48; one
-liouville_step of a one-mode thermal density at 40; r_from_q_hessian of the
-separable two-mode density at 22; calibrate(40); and an in-process
-`gnp audit --with-oracle --cutoff 40` through cli.main on a one-mode
-squeezed thermal state, its files in a temporary directory.
+The cases are the phase-space command (L3), the Fock oracle (L4), the
+calibration (L5) and file I/O (io): an in-process
+`gnp phase --fn q --convention calibrated --grid=-2:2:41` through cli.main
+on a one-mode squeezed thermal state; gaussian_density on a separable
+two-mode squeezed thermal spec at cutoffs 14, 18 and 22, on a one-mode spec
+at 40 and on a beam-split (coupled) two-mode spec at 12; quad_operator on
+the one-mode kernel at 48; one liouville_step of a one-mode thermal density
+at 40; r_from_q_hessian of the separable two-mode density at 22;
+calibrate(40); an in-process `gnp audit --with-oracle --cutoff 40` on the
+same state; and a trajectory CSV round trip (trajectory_to_csv, then
+trajectory_from_csv) of a 4-mode, 101-row closed-form normal trajectory.
+The command cases keep their files in a temporary directory.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ MIN_TIME = 0.02     # seconds of calls per repeat
 
 def cases(workdir: Path) -> list:
     """(layer, name, call) for every case, built from the imported gnp; the
-    audit case's files go in workdir."""
+    command cases' files go in workdir."""
     import numpy as np
     from gnp import bridge, cli, dynamics, fockoracle as fo, kernels, stateio
 
@@ -67,17 +71,24 @@ def cases(workdir: Path) -> list:
     state, ham = workdir / "state.json", workdir / "ham.json"
     stateio.write_state(state, kernels.make_squeezed_thermal([0.8], [0.3]), "sigma")
     stateio.write_hamiltonian(ham, dynamics.QuadraticHamiltonian(1, [[0.9, 0.2], [0.2, 0.7]]))
-    audit = ["audit", str(state), "--ham", str(ham), "--t", "1", "--with-oracle",
-             "--cutoff", "40", "-o", str(workdir / "audit.json")]
+    four = kernels.make_squeezed_thermal([0.6, 0.9, 1.2, 1.5], [0.3, -0.2, 0.1, 0.0])
+    traj = dynamics.closed_form_trajectory(
+        "normal", kernels.ensure_form(four, "R"), np.eye(8) + 0.1, 1.0, 100)
 
-    def run_audit():
-        with contextlib.redirect_stdout(io.StringIO()):
-            if cli.main(audit) != 0:
-                raise RuntimeError("gnp audit failed")
+    def command(*argv):
+        def call():
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(list(argv)) != 0:
+                    raise RuntimeError(f"gnp {argv[0]} failed")
+        return call
     table = [("L4", f"gaussian_density 2-mode separable cutoff {cutoff}",
               lambda cutoff=cutoff: fo.gaussian_density(separable, cutoff))
              for cutoff in (14, 18, 22)]
-    return table + [
+    return [
+        ("L3", "gnp phase --fn q calibrated grid 41x41",
+         command("phase", str(state), "--fn", "q", "--convention", "calibrated",
+                 "--grid=-2:2:41", "-o", str(workdir / "q.csv"))),
+        *table,
         ("L4", "gaussian_density 1-mode cutoff 40", lambda: fo.gaussian_density(one, 40)),
         ("L4", "gaussian_density 2-mode coupled cutoff 12",
          lambda: fo.gaussian_density(coupled, 12)),
@@ -88,7 +99,11 @@ def cases(workdir: Path) -> list:
         ("L4", "r_from_q_hessian 2-mode separable cutoff 22",
          lambda: fo.r_from_q_hessian(rho_separable)),
         ("L5", "calibrate cutoff 40", lambda: bridge.calibrate(40)),
-        ("L5", "gnp audit --with-oracle cutoff 40", run_audit),
+        ("L5", "gnp audit --with-oracle cutoff 40",
+         command("audit", str(state), "--ham", str(ham), "--t", "1", "--with-oracle",
+                 "--cutoff", "40", "-o", str(workdir / "audit.json"))),
+        ("io", "trajectory CSV round trip 4-mode 101 rows",
+         lambda: stateio.trajectory_from_csv(stateio.trajectory_to_csv(traj))),
     ]
 
 
