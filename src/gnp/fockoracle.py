@@ -166,26 +166,24 @@ def _mode_groups(kernel) -> list[tuple[int, ...]]:
     return sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})
 
 
-def _padded_density(kernel, cutoff: int) -> np.ndarray:
-    """e^{-G-hat} normalised on a space padded by PAD levels per mode, cut
-    back to its top-left cutoff^m block and renormalised; a stack of kernels
-    gives one such block per kernel, through one eigh."""
-    kernel = np.asarray(kernel)
-    lead, m = kernel.shape[:-2], kernel.shape[-1] // 2
+def _padded_density(kernels, cutoff: int) -> np.ndarray:
+    """e^{-G-hat} of each kernel of an (m, 2k, 2k) stack, normalised on a space
+    padded by PAD levels per mode, cut back to its top-left cutoff^k block and
+    renormalised: an (m, cutoff^k, cutoff^k) stack, through one eigh."""
+    m, k = len(kernels), kernels.shape[-1] // 2
     big = cutoff + PAD
-    ops = (quad_operator(kernel, big) if kernel.ndim == 2    # one kernel per call
-           else np.array([quad_operator(k, big) for k in kernel]))
+    ops = np.array([quad_operator(kernel, big) for kernel in kernels])
     rho = _hermitian_function(
         ops, lambda w: np.exp(-(w - w.min(axis=-1, keepdims=True))),   # overflow shift
         "physical kernel produced a non-Hermitian exponent")
     rho /= _traces(rho)
-    rho = rho.reshape(lead + (big,) * (2 * m))[(...,) + (slice(cutoff),) * (2 * m)]
-    rho = rho.reshape(lead + (cutoff ** m, cutoff ** m))
+    rho = rho.reshape((m,) + (big,) * (2 * k))[(...,) + (slice(cutoff),) * (2 * k)]
+    rho = rho.reshape(m, cutoff ** k, cutoff ** k)
     return rho / _traces(rho)
 
 
 def _traces(rho: np.ndarray) -> np.ndarray:
-    """Real traces of a matrix or of each matrix of a stack, shaped to divide it."""
+    """Real traces of each matrix of a stack, shaped to divide it."""
     return np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
@@ -195,9 +193,10 @@ def gaussian_densities(specs, cutoff: int) -> list[FockOperator]:
 
     G-hat is a sum of commuting terms, one per connected group of coupled
     modes, so e^{-G-hat} is the tensor product of one exponential per group.
-    Each group's exponents are built for all specs as one stack; each block
-    is reshaped to cutoff on its modes' bra and ket axes and 1 on the others,
-    and a density's groups multiply into one broadcast product.
+    Each group's exponents are built for all specs as one stack, one spec
+    being a stack of one; each stack is reshaped to cutoff on its modes' bra
+    and ket axes and 1 on the others, and the groups' stacks multiply into
+    one broadcast product.
     Each group's exponent is assembled on a space padded by PAD extra levels
     per mode and the result projected back, so the top retained level carries
     its physical population rather than the artifact of cutting the quadratic
@@ -214,25 +213,21 @@ def gaussian_densities(specs, cutoff: int) -> list[FockOperator]:
         raise ValueError("specs must share one structure of coupled modes, "
                          f"got {sorted(structures)}")
     kernels = np.array([spec.operator_kernel for spec in specs])
-    if len(specs) == 1:
-        kernels = kernels[0]        # one kernel: its guard names no member
     n = kernels.shape[-1] // 2
-    rhos = [None] * len(specs)
+    rho = None
     for group in structures.pop():
         # the kernel rows of the group's a_i and a_i^+, which are also the
         # bra and ket axes of its modes in rho; they increase, so a reshape
         # with 1 on every other axis puts the block on them
         axes = list(group) + [n + i for i in group]
         shape = [cutoff if k in axes else 1 for k in range(2 * n)]
-        blocks = _padded_density(kernels[..., axes, :][..., axes], cutoff)
-        blocks = blocks.reshape([len(specs)] + shape)
-        rhos = [block if rho is None else rho * block for rho, block in zip(rhos, blocks)]
-    ops = []
-    for rho in rhos:
-        op = FockOperator(n_modes=n, cutoff=cutoff,
-                          matrix=rho.reshape(cutoff ** n, cutoff ** n))
+        block = _padded_density(kernels[:, axes][:, :, axes], cutoff)
+        block = block.reshape([len(specs)] + shape)
+        rho = block if rho is None else rho * block
+    ops = [FockOperator(n_modes=n, cutoff=cutoff, matrix=matrix)
+           for matrix in rho.reshape(len(specs), cutoff ** n, cutoff ** n)]
+    for op in ops:
         _check_tail(op, "gaussian_density")
-        ops.append(op)
     return ops
 
 

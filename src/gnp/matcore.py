@@ -6,7 +6,7 @@ All kernels in this package are small (2n x 2n with n <= 4 in practice), so
 everything here is plain dense linear algebra on complex128 arrays. Every
 primitive takes a finite (d, d) matrix, giving Python scalars, or an
 (m, d, d) stack, giving (m,) arrays; a guard refuses a non-finite value or
-one above its limit, on a stack naming the first failing matrix.
+one above its limit, on a stack of two or more naming the first failing one.
 """
 
 from __future__ import annotations
@@ -36,23 +36,23 @@ def _as_squares(M) -> np.ndarray:
 
 def guard(values, limit: float, message: str, error=NumericalError) -> None:
     """Raise error(message.format(value, limit)) when a value is non-finite
-    or above limit; values of a stack name the first failing one."""
+    or above limit; two or more values name the failing one (" at matrix k")."""
     values = np.asarray(values, dtype=float)
     bad = ~np.isfinite(values) | (values > limit)
     if bad.any():
         k = int(bad.argmax())
-        where = f" at matrix {k}" if values.ndim else ""
+        where = f" at matrix {k}" if values.size > 1 else ""
         raise error(message.format(values.flat[k], limit) + where)
 
 
 def first_failing(values, bad) -> tuple[np.ndarray, str]:
     """values[bad] of one matrix's (d,) values, and ""; for an (m, d) stack,
-    the bad values of the first matrix with any and " at matrix k", as guard
-    names it."""
+    the bad values of the first matrix with any, and " at matrix k" when
+    m > 1, as guard names it."""
     if values.ndim == 1:
         return values[bad], ""
     k = int(bad.any(axis=-1).argmax())
-    return values[k][bad[k]], f" at matrix {k}"
+    return values[k][bad[k]], f" at matrix {k}" if len(values) > 1 else ""
 
 
 def structured(kind: str, n_modes: int) -> np.ndarray:

@@ -257,9 +257,9 @@ def test_convert_has_no_convention_flag(thermal_file, tmp_path, capsys):
 
 def test_convert_same_form_identical_matrix(thermal_file, tmp_path):
     out = tmp_path / "g.json"
-    cli.main(["convert", thermal_file, "--to", "G", "-o", str(out)])
-    original = json.loads(open(thermal_file).read())
-    converted = json.loads(open(out).read())
+    assert cli.main(["convert", thermal_file, "--to", "G", "-o", str(out)]) == 0
+    original = json.loads(Path(thermal_file).read_text())
+    converted = json.loads(out.read_text())
     assert converted["matrix"] == original["matrix"]
 
 

@@ -242,13 +242,14 @@ def test_groups_land_on_their_mode_axes():
 
 
 def einsum_assembly(spec, cutoff):
-    """The per-group padded densities put on their modes' axes by one einsum."""
+    """The per-group padded densities put on their modes' axes by one einsum;
+    each group's kernel goes in as a stack of one."""
     kernel = spec.operator_kernel
     n = len(kernel) // 2
     operands = []
     for group in fo._mode_groups(kernel):
         axes = list(group) + [n + i for i in group]
-        block = fo._padded_density(kernel[np.ix_(axes, axes)], cutoff)
+        block = fo._padded_density(kernel[np.ix_(axes, axes)][None], cutoff)[0]
         operands += [block.reshape((cutoff,) * len(axes)), axes]
     return np.einsum(*operands, list(range(2 * n))).reshape(cutoff ** n, cutoff ** n)
 
@@ -269,12 +270,17 @@ def test_broadcast_product_equals_the_einsum_assembly(case):
     assert np.array_equal(rho, einsum_assembly(spec, cutoff))
 
 
-def test_a_non_hermitian_exponent_in_one_group_raises():
+@pytest.mark.parametrize("build", [
+    fo.gaussian_density,
+    lambda spec, cutoff: fo.gaussian_densities([spec], cutoff),
+], ids=["gaussian_density", "gaussian_densities"])
+def test_a_non_hermitian_exponent_in_one_group_raises(build):
+    # one spec is a stack of one, whose message names no matrix
     spec = fo.PhysicalSpec("squeezed-thermal", [1.7, 2.1], [0.2, 0.1])
     spec.operator_kernel[1, 1] += 0.3          # a_2 a_2 without a_2^+ a_2^+
     with pytest.raises(DomainError,
                        match="^physical kernel produced a non-Hermitian exponent$"):
-        fo.gaussian_density(spec, 8)
+        build(spec, 8)
 
 
 def per_kernel_density(kernel, cutoff):

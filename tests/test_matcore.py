@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gnp import kernels, matcore
-from gnp.errors import DomainError, NumericalError
+from gnp.errors import DomainError, GnpError, NumericalError
 from gnp.matcore import structured
 
 from util import random_symmetric, random_symplectic, random_valid_g
@@ -86,6 +86,21 @@ def test_solve_residual_guard_names_the_failing_matrix(monkeypatch):
     # one M against a stack of right-hand sides: their largest residual, no index
     with pytest.raises(NumericalError, match=r"residual 2\.000e-10 > 1e-10$"):
         matcore.dense_solve(np.diag([1.0, 2.0]), np.ones((3, 2, 1)))
+
+
+@pytest.mark.parametrize("call, bad", [
+    (matcore.eig_decomp, [[1.0, 1.0], [0.0, 1.0]]),
+    (matcore.inverse, np.diag([1.0, 1.0 / (2.0 * matcore.COND_LIMIT)])),
+    (kernels.sigma_to_g, 0.5 * np.eye(2)),
+], ids=["eig-condition", "solve-condition", "sigma-to-g-domain"])
+def test_a_stack_of_one_reads_like_one_matrix(call, bad):
+    # guard and first_failing name a matrix only in a stack of two or more
+    with pytest.raises(GnpError) as one:
+        call(np.array(bad))
+    with pytest.raises(type(one.value)) as stacked:
+        call(np.array([bad]))
+    assert str(stacked.value) == str(one.value)
+    assert "at matrix" not in str(one.value)
 
 
 def test_dense_solve_refuses_a_nan_right_hand_side():

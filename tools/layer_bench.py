@@ -10,11 +10,14 @@ differ from that revision, the core count and the numpy and scipy versions.
 
     python tools/layer_bench.py BENCH_layers.json                  # ./src
     python tools/layer_bench.py --src OTHER/src base.json           # another tree
-    python tools/layer_bench.py --compare base.json BENCH_layers.json
+    python tools/layer_bench.py --compare A1.json B1.json A2.json B2.json ...
 
---compare prints, per case, the second median over the first; a ratio is
-marked "noise" when the two interquartile ranges overlap.  Speed on a shared
-machine drifts within minutes, so compare runs taken in alternating pairs.
+Speed on a shared machine drifts within minutes, so --compare takes runs
+taken in alternating pairs A1 B1 A2 B2 ... and prints, per case, the median
+over the pairs of B's median over A's and the range of that ratio.  A case
+reads "faster" or "slower" only when at least MIN_PAIRS pairs were given and
+B wins, or loses, at least WIN_SHARE of them (a tie counts for neither);
+otherwise it reads "unresolved".
 
 The cases are the phase-space command (L3), the Fock oracle (L4), the
 calibration (L5) and file I/O (io): an in-process
@@ -49,6 +52,8 @@ from pathlib import Path
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 REPEATS = 21
 MIN_TIME = 0.02     # seconds of calls per repeat
+MIN_PAIRS = 10      # pairs --compare needs before it calls a case faster or slower
+WIN_SHARE = 0.9     # share of the pairs a case must win, or lose, to be called so
 
 
 def cases(workdir: Path) -> list:
@@ -172,21 +177,26 @@ def measure(src: Path, repeats: int = REPEATS, min_time: float = MIN_TIME) -> di
     return result
 
 
-def compare(a: dict, b: dict) -> list:
-    """Print the second run's median over the first's for each shared case;
-    returns the (name, ratio, noise) rows."""
-    first = {case["name"]: case for case in a["cases"]}
+def compare(runs: list) -> list:
+    """Print, for each case that every run has, the median and range of the
+    ratio B/A of its medians over the pairs (A1, B1), (A2, B2), ... of runs,
+    and its verdict; returns the (name, median ratio, low, high, verdict) rows."""
+    medians = [{case["name"]: case["median_s"] for case in run["cases"]} for run in runs]
+    pairs = list(zip(medians[0::2], medians[1::2]))
     rows = []
-    for case in b["cases"]:
-        base = first.get(case["name"])
-        if base is None:
+    for name in (case["name"] for case in runs[1]["cases"]):
+        if not all(name in run for run in medians):
             continue
-        ratio = case["median_s"] / base["median_s"]
-        noise = case["q1_s"] <= base["q3_s"] and base["q1_s"] <= case["q3_s"]
-        rows.append((case["name"], ratio, noise))
-        print(f"{case['name']:44s} {base['median_s'] * 1e3:9.3f} ms "
-              f"{case['median_s'] * 1e3:9.3f} ms  x{ratio:.3f}"
-              + ("  noise" if noise else ""))
+        ratios = [b[name] / a[name] for a, b in pairs]
+        wins, losses = sum(r < 1.0 for r in ratios), sum(r > 1.0 for r in ratios)
+        enough = len(pairs) >= MIN_PAIRS
+        verdict = ("faster" if enough and wins / len(pairs) >= WIN_SHARE else
+                   "slower" if enough and losses / len(pairs) >= WIN_SHARE else
+                   "unresolved")
+        row = (name, statistics.median(ratios), min(ratios), max(ratios), verdict)
+        rows.append(row)
+        print(f"{name:44s} x{row[1]:.3f} (x{row[2]:.3f}-x{row[3]:.3f}; "
+              f"{wins} faster, {losses} slower of {len(pairs)})  {verdict}")
     return rows
 
 
@@ -196,12 +206,14 @@ def main(argv=None) -> int:
     ap.add_argument("--src", type=Path,
                     default=Path(__file__).resolve().parent.parent / "src",
                     help="directory holding the gnp package (default: ./src)")
-    ap.add_argument("--compare", nargs=2, metavar="JSON",
-                    help="compare two result files instead of timing")
+    ap.add_argument("--compare", nargs="+", metavar="JSON",
+                    help="compare alternating result files A1 B1 A2 B2 ... "
+                         "instead of timing")
     args = ap.parse_args(argv)
     if args.compare:
-        a, b = (json.loads(Path(p).read_text()) for p in args.compare)
-        compare(a, b)
+        if len(args.compare) % 2:
+            ap.error("--compare takes result files in pairs A1 B1 A2 B2 ...")
+        compare([json.loads(Path(p).read_text()) for p in args.compare])
         return 0
     if args.output is None:
         ap.error("an output path is required")
