@@ -309,6 +309,9 @@ def r_from_q_hessian(rho: FockOperator) -> np.ndarray:
 
 def liouville_step(rho0: FockOperator, H_kernel, t: float) -> FockOperator:
     """rho(t) = e^{-i H t} rho0 e^{+i H t} for H-hat = (1/2) A^T H A."""
+    if np.shape(H_kernel) != (2 * rho0.n_modes,) * 2:
+        raise ValueError(f"rho has {rho0.n_modes} mode(s), the H kernel "
+                         f"{len(H_kernel) // 2}")
     U = _hermitian_function(quad_operator(H_kernel, rho0.cutoff),
                             lambda w: np.exp(-1j * w * t),
                             "Hamiltonian kernel is not Hermitian in truncation")

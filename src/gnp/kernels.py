@@ -38,7 +38,8 @@ FORMS = ("G", "sigma", "R", "C")
 
 @dataclass
 class GaussianState:
-    """An n-mode Gaussian state carrying one or more kernel forms."""
+    """An n-mode Gaussian state carrying one or more kernel forms, each a
+    finite 2n x 2n matrix (ValueError otherwise)."""
 
     n_modes: int
     forms: Dict[str, np.ndarray]
@@ -52,6 +53,8 @@ class GaussianState:
             M = np.asarray(M, dtype=complex)
             if M.shape != (d, d):
                 raise ValueError(f"form {name}: expected shape {(d, d)}, got {M.shape}")
+            if not np.all(np.isfinite(M)):
+                raise ValueError(f"form {name}: kernel must be finite")
             self.forms[name] = M
 
     def has(self, form: str) -> bool:

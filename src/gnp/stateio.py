@@ -29,6 +29,14 @@ def _matrix_to_pairs(M) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in M]
 
 
+def _n_modes(doc, path) -> int:
+    """A file's n_modes: a JSON integer >= 1 (not a bool, nor a float)."""
+    n = doc["n_modes"]
+    if type(n) is not int or n < 1:
+        raise ParseError(f"{path}: n_modes must be an integer >= 1, got {json.dumps(n)}")
+    return n
+
+
 def _pairs_to_matrix(data, n: int, path) -> np.ndarray:
     """The 2n x 2n matrix of a file's [re, im] pair entries."""
     try:
@@ -80,7 +88,7 @@ def read_state(path):
     """
     doc = _load(path)
     try:
-        n = int(doc["n_modes"])
+        n = _n_modes(doc, path)
         form = doc["form"]
         matrix = doc["matrix"]
     except (KeyError, TypeError, ValueError) as exc:
@@ -102,7 +110,7 @@ def write_hamiltonian(path, ham: QuadraticHamiltonian) -> None:
 def read_hamiltonian(path) -> QuadraticHamiltonian:
     doc = _load(path)
     try:
-        n = int(doc["n_modes"])
+        n = _n_modes(doc, path)
         M = _pairs_to_matrix(doc["matrix"], n, path)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: missing or malformed field ({exc})") from exc

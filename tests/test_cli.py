@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -175,17 +176,20 @@ _GOOD_CSV = stateio.trajectory_to_csv(dynamics.closed_form_trajectory(
     "normal", -0.5 * np.eye(2)[::-1].astype(complex), np.eye(2), 0.3, 2))
 
 
-@pytest.mark.parametrize("text", [
-    _GOOD_CSV.splitlines()[0] + "\n",                         # header only
-    _GOOD_CSV.rsplit(",", 1)[0] + "\n",                      # short row
-    _GOOD_CSV.replace("0.0,", "zero,", 1),                   # non-float field
-    "# kind=normal\nt,det_re,det_im\n0.0,1.0,0.0\n",        # no kernel columns
+@pytest.mark.parametrize("text, message", [
+    (_GOOD_CSV.splitlines()[0] + "\n", "CSV missing its column header"),
+    (_GOOD_CSV.rsplit(",", 1)[0] + "\n", "CSV: row has 12 fields, its header 13"),
+    (_GOOD_CSV.replace("0.0,", "zero,", 1), "CSV: could not convert string to float"),
+    ("# kind=normal\nt,det_re,det_im\n0.0,1.0,0.0\n",
+     "trajectory CSV header has 0 kernel entries, not a nonzero square"),
     # two half-width rows hold as many fields as one full row
-    "# kind=normal\nt,k00_re,k00_im,det_re\n0.0,1.0\n0.0,1.0\n",
+    ("# kind=normal\nt,k00_re,k00_im,det_re\n0.0,1.0\n0.0,1.0\n",
+     "CSV: row has 2 fields, its header 4"),
+    (_GOOD_CSV.split("\n", 1)[1], "trajectory CSV missing '# kind=' header"),
 ], ids=["header-only", "short-row", "non-float", "no-kernel-columns",
-        "half-width-rows"])
-def test_trajectory_from_csv_rejects_malformed_text(text):
-    with pytest.raises(ParseError):
+        "half-width-rows", "no-kind-line"])
+def test_trajectory_from_csv_rejects_malformed_text(text, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
         stateio.trajectory_from_csv(text)
 
 
@@ -206,6 +210,73 @@ def test_validate_bad_state_exits_1(tmp_path, capsys):
 
 def test_missing_file_exits_3(capsys):
     assert cli.main(["validate", "no-such-file.json"]) == 3
+
+
+_EYE = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]    # I as [re, im] pairs
+_BAD_N_MODES = [(1.9, "1.9"), (True, "true"), (1.0, "1.0"), (0, "0"), ("1", '"1"')]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"n_modes": 1, "form": "G", "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+     "matrix entries must be [re, im] pairs"),
+    ({"n_modes": 1, "form": "G", "matrix": [[[float("inf"), 0.0], [0.0, 0.0]],
+                                            [[0.0, 0.0], [1.0, 0.0]]]},
+     "non-finite matrix entry"),
+    ({"n_modes": 1, "matrix": _EYE}, "missing or malformed field ('form')"),
+    ({"n_modes": 1, "form": "X", "matrix": _EYE}, "unknown form 'X'"),
+    *[({"n_modes": n, "form": "G", "matrix": _EYE},
+       f"n_modes must be an integer >= 1, got {text}") for n, text in _BAD_N_MODES],
+], ids=["non-pair", "non-finite", "no-form", "unknown-form",
+        *[f"n_modes-{text}" for _, text in _BAD_N_MODES]])
+def test_state_parse_errors_exit_3(doc, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 3
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"matrix": _EYE}, "missing or malformed field ('n_modes')"),
+    ({"n_modes": 1, "matrix": [[[1.0, 0.5], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+     "Hamiltonian kernel must be real"),
+    ({"n_modes": 1, "matrix": [[[1.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+     "H must be real symmetric"),
+    *[({"n_modes": n, "matrix": _EYE},
+       f"n_modes must be an integer >= 1, got {text}") for n, text in _BAD_N_MODES],
+], ids=["no-n_modes", "complex", "asymmetric",
+        *[f"n_modes-{text}" for _, text in _BAD_N_MODES]])
+def test_hamiltonian_parse_errors_exit_3(doc, message, evolve_files, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "t.csv"
+    assert cli.main(["evolve", evolve_files["R"], "--ham", str(path), "--t", "1",
+                     "-o", str(out)]) == 3
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["evolve", "R", "--ham", "h1", "--t", "-1", "-o"], 2,
+     "evolution time must be nonnegative"),
+    (["evolve", "G", "--ham", "h1", "--t", "1", "-o"], 2,
+     "evolution needs a sigma- or R-form state, got G"),
+    (["phase", "two-mode", "-o"], 2, "phase grids are single-mode only"),
+    (["phase", "G", "--grid", "1:2", "-o"], 1, "grid must be 'min:max:count'"),
+    (["spectrum", "negative-G"], 2, "G must be positive definite"),
+], ids=["evolve-negative-t", "evolve-G-file", "phase-two-modes", "phase-bad-grid",
+        "spectrum-negative-definite"])
+def test_command_errors_exit_with_their_code(argv, code, message, evolve_files,
+                                             tmp_path, capsys):
+    files = {**evolve_files, "G": tmp_path / "G.json", "two-mode": tmp_path / "two.json",
+             "negative-G": tmp_path / "neg.json"}
+    stateio.write_state(files["G"], kernels.make_thermal([1.3]), "G")
+    stateio.write_state(files["two-mode"], kernels.make_thermal([1.3, 0.8]), "sigma")
+    stateio.write_state(files["negative-G"], kernels.GaussianState(1, {"G": -np.eye(2)}), "G")
+    out = tmp_path / "out"
+    argv = [str(files.get(arg, arg)) for arg in argv] + ([str(out)] if argv[-1] == "-o" else [])
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_convert_vacuum_boundary_exits_2(tmp_path, capsys):
@@ -439,6 +510,14 @@ def test_phase_wigner_and_char_tables_say_as_published(fn, thermal_file,
         texts.append(out.read_text())
     assert texts[0] == texts[1]
     assert texts[0].splitlines()[1] == f"# convention={kernels.AS_PUBLISHED}"
+
+
+def test_phase_check_norm_prints_the_husimi_integral(thermal_file, tmp_path, capsys):
+    assert cli.main(["phase", thermal_file, "--check-norm", "--grid=0:0:1",
+                     "-o", str(tmp_path / "q.csv")]) == 0
+    line = capsys.readouterr().out.splitlines()[-2]
+    prefix = "husimi normalization integral: "
+    assert line.startswith(prefix) and abs(float(line[len(prefix):]) - 1.0) < 1e-6
 
 
 def test_phase_check_norm_divergent_exits_2(thermal_file, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Truncated Fock-space oracle: operators, densities, Q values, identities."""
 
 import ast
+import re
 import warnings
 from pathlib import Path
 
@@ -697,6 +698,12 @@ def test_liouville_thermal_stationary():
     rho0 = fo.gaussian_density(fo.PhysicalSpec("thermal", [LN2]), D)
     rho_t = fo.liouville_step(rho0, LN2 * structured("E", 1), 0.7)
     np.testing.assert_allclose(rho_t.matrix, rho0.matrix, atol=1e-12)
+
+
+def test_liouville_step_names_both_mode_counts():
+    rho0 = fo.FockOperator(1, 3, np.diag([1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=re.escape("rho has 1 mode(s), the H kernel 2")):
+        fo.liouville_step(rho0, np.eye(4), 0.5)
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0, np.nan])

@@ -178,6 +178,16 @@ def test_validate_thermal_passes():
     assert any("cross" in c.name for c in report.checks)
 
 
+@pytest.mark.parametrize("form", kernels.FORMS)
+def test_state_refuses_a_non_finite_kernel(form):
+    # validate_state would read a NaN G as positive definite, raise from numpy
+    # on sigma or from the R check, and pass a NaN C unchecked
+    M = np.eye(2, dtype=complex)
+    M[1, 0] = np.nan
+    with pytest.raises(ValueError, match=f"^form {form}: kernel must be finite$"):
+        kernels.GaussianState(1, {form: M})
+
+
 def test_validate_catches_asymmetric_g():
     st = kernels.GaussianState(1, {"G": np.array([[1.0, 0.3], [0.0, 1.0]])})
     assert not kernels.validate_state(st).passed

@@ -4,12 +4,14 @@ Runs a fixed set of `gnp` commands in process (`gnp.cli.main`) inside a
 temporary directory with fixed relative file names, and writes one JSON map
 from each command line to the SHA-256 of its exit code, stdout, stderr, the
 warnings it raised (category and message, not the source location) and every
-file it wrote.  The input files are hashed under the key "setup".  Two trees
-are compared by digesting each and comparing the maps:
+file it wrote.  The input files are hashed under the key "setup".
 
-    python tools/cli_digest.py out.json                    # ./src
-    python tools/cli_digest.py --src OTHER/src base.json   # another tree
-    python tools/cli_digest.py --compare base.json out.json
+    python tools/cli_digest.py out.json                        # ./src
+    python tools/cli_digest.py out.json --against OTHER/src    # and compare
+
+--against also digests the gnp tree at OTHER/src, loaded into this process
+under its own package name, prints the commands whose digests differ, and
+exits 1 on any difference.
 
 The set covers thermal omega = 1.3, squeezed thermal omega = 0.9, r = 0.3 and
 two-mode omega = 0.8/1.4, r = 0.3/-0.2, each stored as G, sigma, R and C:
@@ -41,6 +43,8 @@ import tempfile
 import warnings
 from pathlib import Path
 
+from layer_bench import SRC, load
+
 FORMS = ("G", "sigma", "R", "C")
 GRIDS = ("-2:2:41", "-3:1.5:17", "0:0:1", "-0.0:-0.0:1")
 PHASE_VARIANTS = (
@@ -62,10 +66,10 @@ EVOLVE_METHODS = (
 )
 
 
-def _write_inputs() -> dict:
+def _write_inputs(gnp) -> dict:
     """Write the state and Hamiltonian files; returns {label: n_modes}."""
     import numpy as np
-    from gnp import dynamics, kernels, stateio
+    dynamics, kernels, stateio = gnp.dynamics, gnp.kernels, gnp.stateio
 
     states = {
         "t1": kernels.make_thermal([1.3]),
@@ -180,18 +184,15 @@ def _run(cli, argv) -> str:
     return h.hexdigest()
 
 
-def digest(src: Path) -> dict:
-    sys.path.insert(0, str(src.resolve()))
-    from gnp import cli
-
+def digest(gnp) -> dict:
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            modes = _write_inputs()
+            modes = _write_inputs(gnp)
             result = {"setup": _digest_files(os.listdir())}
             for argv in commands(modes):
-                result[" ".join(argv)] = _run(cli, argv)
+                result[" ".join(argv)] = _run(gnp.cli, argv)
         finally:
             os.chdir(cwd)
     return result
@@ -204,7 +205,7 @@ def compare(a: dict, b: dict) -> int:
     for key in differ:
         print(f"differs: {key}")
     for key in only:
-        print(f"only in {'first' if key in a else 'second'}: {key}")
+        print(f"only in {'this tree' if key in a else 'the other'}: {key}")
     print(f"{len(a.keys() & b.keys()) - len(differ)} identical, "
           f"{len(differ)} differ, {len(only)} in one map only")
     return len(differ) + len(only)
@@ -212,22 +213,16 @@ def compare(a: dict, b: dict) -> int:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("output", nargs="?", help="JSON map to write")
-    ap.add_argument("--src", type=Path,
-                    default=Path(__file__).resolve().parent.parent / "src",
-                    help="directory holding the gnp package (default: ./src)")
-    ap.add_argument("--compare", nargs=2, metavar="JSON",
-                    help="compare two maps instead of digesting")
+    ap.add_argument("output", help="JSON map to write")
+    ap.add_argument("--against", type=Path, metavar="OTHER/src",
+                    help="also digest the gnp tree there and compare the maps")
     args = ap.parse_args(argv)
-    if args.compare:
-        a, b = (json.loads(Path(p).read_text()) for p in args.compare)
-        return 1 if compare(a, b) else 0
-    if args.output is None:
-        ap.error("an output path is required")
-    result = digest(args.src)
+    result = digest(load(SRC, "gnp_this"))
     Path(args.output).write_text(json.dumps(result, indent=1) + "\n")
     print(f"{len(result) - 1} commands digested to {args.output}")
-    return 0
+    if args.against is None:
+        return 0
+    return 1 if compare(result, digest(load(args.against, "gnp_other"))) else 0
 
 
 if __name__ == "__main__":

@@ -5,19 +5,23 @@ to warm up, then timed over REPEATS repeats of as many calls as fill
 MIN_TIME seconds; the result per case is the median and interquartile
 range of the per-call time over the repeats.  BLAS is pinned to one thread
 before numpy loads.  The JSON written also records the git revision of the
-timed tree (read from its .git, without starting git), whether its sources
-differ from that revision, the core count and the numpy and scipy versions.
+timed tree and whether its sources differ from that revision (both from one
+`git status`), the core count and the numpy and scipy versions.
 
-    python tools/layer_bench.py BENCH_layers.json                  # ./src
-    python tools/layer_bench.py --src OTHER/src base.json           # another tree
-    python tools/layer_bench.py --compare A1.json B1.json A2.json B2.json ...
+    python tools/layer_bench.py BENCH_layers.json                      # ./src
+    python tools/layer_bench.py BENCH_layers.json --against OTHER/src
 
-Speed on a shared machine drifts within minutes, so --compare takes runs
-taken in alternating pairs A1 B1 A2 B2 ... and prints, per case, the median
-over the pairs of B's median over A's and the range of that ratio.  A case
-reads "faster" or "slower" only when at least MIN_PAIRS pairs were given and
-B wins, or loses, at least WIN_SHARE of them (a tie counts for neither);
-otherwise it reads "unresolved".
+--against loads the gnp tree at OTHER/src into this process under its own
+package name and times each case on both trees in every repeat, the first
+tree alternating, so one run gives REPEATS pairs under one load.  Per case
+it prints the median and range of this tree's time over the other's, then
+"faster" or "slower" only when at least MIN_PAIRS pairs were taken and this
+tree wins, or loses, at least WIN_SHARE of them (a tie counts for neither),
+else "unresolved"; then "same bytes" or "bytes differ" by the SHA-256 of the
+output each case returns on both trees (array bytes and the leaves of
+dataclasses, dicts, lists and tuples), or "only in this tree" if its call
+raises on the other tree.  The other tree's figures go under each case's
+"against".
 
 The cases are the phase-space command (L3), the Fock oracle (L4), the
 calibration (L5) and file I/O (io): an in-process
@@ -30,13 +34,18 @@ at 40; r_from_q_hessian of the separable two-mode density at 22;
 calibrate(40); an in-process `gnp audit --with-oracle --cutoff 40` on the
 same state; and a trajectory CSV round trip (trajectory_to_csv, then
 trajectory_from_csv) of a 4-mode, 101-row closed-form normal trajectory.
-The command cases keep their files in a temporary directory.
+The command cases keep their files in a temporary directory per tree and
+return the bytes of the file they wrote.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import hashlib
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -49,18 +58,33 @@ import warnings
 from importlib import metadata
 from pathlib import Path
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 REPEATS = 21
 MIN_TIME = 0.02     # seconds of calls per repeat
-MIN_PAIRS = 10      # pairs --compare needs before it calls a case faster or slower
+MIN_PAIRS = 10      # pairs needed before a case is called faster or slower
 WIN_SHARE = 0.9     # share of the pairs a case must win, or lose, to be called so
 
 
-def cases(workdir: Path) -> list:
-    """(layer, name, call) for every case, built from the imported gnp; the
-    command cases' files go in workdir."""
+def load(src, name: str):
+    """Import the gnp package under src, and through its command line every
+    module, as the package `name`.  Every import inside gnp is relative, so
+    trees loaded under different names run side by side in one process."""
+    pkg = Path(src).resolve() / "gnp"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    gnp = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gnp)
+    importlib.import_module(f"{name}.cli")
+    return gnp
+
+
+def cases(gnp, workdir: Path) -> list:
+    """(layer, name, call) for every case, built from the loaded package gnp;
+    the command cases' files go in workdir."""
     import numpy as np
-    from gnp import bridge, cli, dynamics, fockoracle as fo, kernels, stateio
+    bridge, cli, dynamics, fo, kernels, stateio = (
+        gnp.bridge, gnp.cli, gnp.dynamics, gnp.fockoracle, gnp.kernels, gnp.stateio)
 
     separable = fo.PhysicalSpec("squeezed-thermal", [1.8, 2.2], [0.2, 0.1])
     coupled = fo.PhysicalSpec("squeezed-thermal", [1.8, 2.2], [0.2, 0.1])
@@ -80,19 +104,20 @@ def cases(workdir: Path) -> list:
     traj = dynamics.closed_form_trajectory(
         "normal", kernels.ensure_form(four, "R"), np.eye(8) + 0.1, 1.0, 100)
 
-    def command(*argv):
+    def command(output, *argv):
         def call():
             with contextlib.redirect_stdout(io.StringIO()):
-                if cli.main(list(argv)) != 0:
+                if cli.main([*argv, "-o", str(output)]) != 0:
                     raise RuntimeError(f"gnp {argv[0]} failed")
+            return output.read_bytes()
         return call
     table = [("L4", f"gaussian_density 2-mode separable cutoff {cutoff}",
               lambda cutoff=cutoff: fo.gaussian_density(separable, cutoff))
              for cutoff in (14, 18, 22)]
     return [
         ("L3", "gnp phase --fn q calibrated grid 41x41",
-         command("phase", str(state), "--fn", "q", "--convention", "calibrated",
-                 "--grid=-2:2:41", "-o", str(workdir / "q.csv"))),
+         command(workdir / "q.csv", "phase", str(state), "--fn", "q",
+                 "--convention", "calibrated", "--grid=-2:2:41")),
         *table,
         ("L4", "gaussian_density 1-mode cutoff 40", lambda: fo.gaussian_density(one, 40)),
         ("L4", "gaussian_density 2-mode coupled cutoff 12",
@@ -105,64 +130,85 @@ def cases(workdir: Path) -> list:
          lambda: fo.r_from_q_hessian(rho_separable)),
         ("L5", "calibrate cutoff 40", lambda: bridge.calibrate(40)),
         ("L5", "gnp audit --with-oracle cutoff 40",
-         command("audit", str(state), "--ham", str(ham), "--t", "1", "--with-oracle",
-                 "--cutoff", "40", "-o", str(workdir / "audit.json"))),
+         command(workdir / "audit.json", "audit", str(state), "--ham", str(ham),
+                 "--t", "1", "--with-oracle", "--cutoff", "40")),
         ("io", "trajectory CSV round trip 4-mode 101 rows",
          lambda: stateio.trajectory_from_csv(stateio.trajectory_to_csv(traj))),
     ]
 
 
-def time_case(call, repeats: int, min_time: float) -> dict:
-    """Median and IQR of the per-call time over repeats of `number` calls."""
-    t0 = time.perf_counter()
-    call()                                           # warm-up
-    number = max(1, int(min_time / max(time.perf_counter() - t0, 1e-9)))
-    per_call = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(number):
-            call()
-        per_call.append((time.perf_counter() - t0) / number)
-    q1, median, q3 = (statistics.quantiles(per_call, n=4) if repeats > 1
+def time_calls(calls: list, repeats: int, number: int) -> list:
+    """Per-call seconds of each of calls per repeat; the first to go alternates."""
+    per_call = [[] for _ in calls]
+    for k in range(repeats):
+        for i in (range(len(calls)) if k % 2 == 0 else reversed(range(len(calls)))):
+            t0 = time.perf_counter()
+            for _ in range(number):
+                calls[i]()
+            per_call[i].append((time.perf_counter() - t0) / number)
+    return per_call
+
+
+def summary(per_call: list) -> dict:
+    q1, median, q3 = (statistics.quantiles(per_call, n=4) if len(per_call) > 1
                       else per_call * 3)
-    return {"median_s": median, "iqr_s": q3 - q1, "q1_s": q1, "q3_s": q3,
-            "repeats": repeats, "number": number}
+    return {"median_s": median, "iqr_s": q3 - q1, "q1_s": q1, "q3_s": q3}
 
 
-def git_revision(root: Path):
-    """HEAD of the checkout at root, read from .git without starting git."""
-    git = root / ".git"
+def compare(this: list, other: list) -> dict:
+    """Median, range, wins, losses and verdict of paired ratios this/other."""
+    ratios = [a / b for a, b in zip(this, other)]
+    wins, losses = sum(r < 1.0 for r in ratios), sum(r > 1.0 for r in ratios)
+    enough = len(ratios) >= MIN_PAIRS
+    verdict = ("faster" if enough and wins / len(ratios) >= WIN_SHARE else
+               "slower" if enough and losses / len(ratios) >= WIN_SHARE else
+               "unresolved")
+    return {"ratio": statistics.median(ratios), "ratio_low": min(ratios),
+            "ratio_high": max(ratios), "won": wins, "lost": losses, "verdict": verdict}
+
+
+def fingerprint(output) -> str:
+    """SHA-256 of a case's output: the dtype, shape and bytes of each array,
+    and the repr of every other leaf of its dataclasses, dicts, lists and
+    tuples."""
+    import numpy as np
+    h = hashlib.sha256()
+
+    def feed(value):
+        if dataclasses.is_dataclass(value):
+            value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+        elif isinstance(value, dict):
+            value = list(value.items())
+        if isinstance(value, (list, tuple)):
+            for item in value:
+                feed(item)
+        elif isinstance(value, np.ndarray):
+            h.update(f"{value.dtype.str}{value.shape}".encode() + value.tobytes())
+        else:
+            h.update(repr(value).encode() + b"\0")
+    feed(output)
+    return h.hexdigest()
+
+
+def provenance(gnp) -> dict:
+    """HEAD of the checkout holding the loaded tree gnp and whether the tree
+    differs from it, from one `git status`; None for both without git."""
+    src = Path(gnp.__file__).parent.parent
     try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        if (git / ref).is_file():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
-    except OSError:
-        pass
-    return None
-
-
-def sources_dirty(src: Path):
-    """Whether src differs from the checkout's HEAD; None without git."""
-    try:
-        out = subprocess.run(["git", "status", "--porcelain", "--", "."], cwd=src,
-                             capture_output=True, text=True, check=True).stdout
+        out = subprocess.run(["git", "status", "--porcelain=v2", "--branch", "--", "."],
+                             cwd=src, capture_output=True, text=True, check=True).stdout
     except (OSError, subprocess.CalledProcessError):
-        return None
-    return bool(out.strip())
+        return {"revision": None, "dirty": None}
+    lines = out.splitlines()                         # "# branch.oid <HEAD>" first
+    return {"revision": lines[0].split()[2],
+            "dirty": any(not line.startswith("#") for line in lines)}
 
 
-def measure(src: Path, repeats: int = REPEATS, min_time: float = MIN_TIME) -> dict:
-    """Provenance of the gnp tree at src (already on sys.path) and every
-    case's timing."""
+def measure(gnp, other=None, repeats: int = REPEATS, min_time: float = MIN_TIME) -> dict:
+    """Provenance of the loaded tree gnp and every case's timing; given the
+    loaded tree other, also its provenance and each case's pairs against it."""
     result = {
-        "revision": git_revision(src.resolve().parent),
-        "dirty": sources_dirty(src),
+        **provenance(gnp),
         "cores": os.cpu_count(),
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "numpy": metadata.version("numpy"),
@@ -171,60 +217,52 @@ def measure(src: Path, repeats: int = REPEATS, min_time: float = MIN_TIME) -> di
     }
     with warnings.catch_warnings(), tempfile.TemporaryDirectory() as workdir:
         warnings.simplefilter("ignore")              # tail-mass notices
-        for layer, name, call in cases(Path(workdir)):
-            result["cases"].append({"layer": layer, "name": name,
-                                    **time_case(call, repeats, min_time)})
+        theirs = {}
+        if other is not None:
+            result["against"] = provenance(other)
+            (Path(workdir) / "other").mkdir()
+            theirs = {name: call for _, name, call in cases(other, Path(workdir) / "other")}
+        for layer, name, call in cases(gnp, Path(workdir)):
+            t0 = time.perf_counter()
+            output = call()                          # warm-up
+            number = max(1, int(min_time / max(time.perf_counter() - t0, 1e-9)))
+            calls = [call]
+            if name in theirs:
+                try:
+                    same = fingerprint(theirs[name]()) == fingerprint(output)
+                    calls.append(theirs[name])
+                except Exception:                    # it raises there: this tree's only
+                    pass
+            this, *that = time_calls(calls, repeats, number)
+            case = {"layer": layer, "name": name, **summary(this),
+                    "repeats": repeats, "number": number}
+            if that:
+                case["against"] = {**summary(that[0]), **compare(this, that[0]),
+                                   "same_bytes": same}
+            result["cases"].append(case)
     return result
-
-
-def compare(runs: list) -> list:
-    """Print, for each case that every run has, the median and range of the
-    ratio B/A of its medians over the pairs (A1, B1), (A2, B2), ... of runs,
-    and its verdict; returns the (name, median ratio, low, high, verdict) rows."""
-    medians = [{case["name"]: case["median_s"] for case in run["cases"]} for run in runs]
-    pairs = list(zip(medians[0::2], medians[1::2]))
-    rows = []
-    for name in (case["name"] for case in runs[1]["cases"]):
-        if not all(name in run for run in medians):
-            continue
-        ratios = [b[name] / a[name] for a, b in pairs]
-        wins, losses = sum(r < 1.0 for r in ratios), sum(r > 1.0 for r in ratios)
-        enough = len(pairs) >= MIN_PAIRS
-        verdict = ("faster" if enough and wins / len(pairs) >= WIN_SHARE else
-                   "slower" if enough and losses / len(pairs) >= WIN_SHARE else
-                   "unresolved")
-        row = (name, statistics.median(ratios), min(ratios), max(ratios), verdict)
-        rows.append(row)
-        print(f"{name:44s} x{row[1]:.3f} (x{row[2]:.3f}-x{row[3]:.3f}; "
-              f"{wins} faster, {losses} slower of {len(pairs)})  {verdict}")
-    return rows
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("output", nargs="?", help="JSON file to write")
-    ap.add_argument("--src", type=Path,
-                    default=Path(__file__).resolve().parent.parent / "src",
-                    help="directory holding the gnp package (default: ./src)")
-    ap.add_argument("--compare", nargs="+", metavar="JSON",
-                    help="compare alternating result files A1 B1 A2 B2 ... "
-                         "instead of timing")
+    ap.add_argument("output", help="JSON file to write")
+    ap.add_argument("--against", type=Path, metavar="OTHER/src",
+                    help="also time every case on the gnp tree there, in pairs")
     args = ap.parse_args(argv)
-    if args.compare:
-        if len(args.compare) % 2:
-            ap.error("--compare takes result files in pairs A1 B1 A2 B2 ...")
-        compare([json.loads(Path(p).read_text()) for p in args.compare])
-        return 0
-    if args.output is None:
-        ap.error("an output path is required")
     for var in BLAS_ENV:
         os.environ[var] = "1"
-    sys.path.insert(0, str(args.src.resolve()))
-    result = measure(args.src)
+    result = measure(load(SRC, "gnp_this"),
+                     None if args.against is None else load(args.against, "gnp_other"))
     Path(args.output).write_text(json.dumps(result, indent=1) + "\n")
     for case in result["cases"]:
         print(f"{case['layer']} {case['name']:44s} {case['median_s'] * 1e3:9.3f} ms "
               f"(IQR {case['iqr_s'] * 1e3:.3f})")
+    for case in result["cases"] if args.against else ():
+        vs = case.get("against")
+        print(f"{case['name']:44s} " + ("only in this tree" if vs is None else
+              f"x{vs['ratio']:.3f} (x{vs['ratio_low']:.3f}-x{vs['ratio_high']:.3f}; "
+              f"{vs['won']} faster, {vs['lost']} slower of {case['repeats']})  {vs['verdict']}  "
+              + ("same bytes" if vs["same_bytes"] else "bytes differ")))
     return 0
 
 
