@@ -12,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -36,8 +37,20 @@ def _parse_grid(text: str):
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("grid must be 'min:max:count'")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    return (lo, hi, count)
+    fields = []
+    for name, convert, part in zip(("min", "max", "count"), (float, float, int), parts):
+        try:
+            fields.append(convert(part))
+        except ValueError:
+            what = "an integer" if convert is int else "a number"
+            raise ValueError(f"grid {name} must be {what}, got {part!r}") from None
+    return tuple(fields)
+
+
+def _check_finite_t(t: float) -> None:
+    """Refuse a non-finite --t with a DomainError naming the flag."""
+    if not math.isfinite(t):
+        raise DomainError(f"--t must be finite, got {t}")
 
 
 def _read_inputs(args):
@@ -94,6 +107,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_evolve(args) -> int:
     state, form, ham = _read_inputs(args)
+    _check_finite_t(args.t)
     if args.t < 0:
         raise DomainError("evolution time must be nonnegative")
     kind = "covariance" if form == "sigma" else "normal"
@@ -140,6 +154,7 @@ def cmd_phase(args) -> int:
 
 def cmd_audit(args) -> int:
     state, _, ham = _read_inputs(args)
+    _check_finite_t(args.t)
     R0 = kernels.ensure_form(state, "R")
     ordering = dynamics.ordering_audit(R0, ham.H, args.t)
     failure = None

@@ -203,12 +203,16 @@ def integrate_rk4(kind: str, X0, H, t_end: float, steps: int) -> Trajectory:
     # c carries what rounding dropped from each x + dx (Kahan): on kernels
     # with |X|^2 >> |det X| the plain sum drifts det X above the stage-wise loop
     c = np.zeros(d * d, dtype=complex)
-    # a blow-up runs on as inf/nan and is reported below by its first step
+    Dx, dx = np.empty_like(c), np.empty_like(c)
+    # a blow-up runs on as inf/nan and is reported below by its first step;
+    # each step is dx = D x - c, x' = x + dx, c = (x' - x) - dx, in place
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            dx = D @ x[k] - c
-            x[k + 1] = x[k] + dx
-            c = (x[k + 1] - x[k]) - dx
+        for xk, xnext in zip(x, x[1:]):
+            np.matmul(D, xk, out=Dx)
+            np.subtract(Dx, c, out=dx)
+            np.add(xk, dx, out=xnext)
+            np.subtract(xnext, xk, out=c)
+            np.subtract(c, dx, out=c)
     return Trajectory(kind, H, np.arange(steps + 1) * h, x.reshape(steps + 1, d, d))
 
 

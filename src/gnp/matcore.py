@@ -11,6 +11,7 @@ one above its limit, on a stack of two or more naming the first failing one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,7 +30,7 @@ def _as_squares(M) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise NumericalError("matrix contains non-finite entries")
     return M
 
@@ -56,7 +57,8 @@ def first_failing(values, bad) -> tuple[np.ndarray, str]:
 
 
 def structured(kind: str, n_modes: int) -> np.ndarray:
-    """Return one of the exact 0/+-1 constant matrices.
+    """Return one of the exact 0/+-1 constant matrices, built once per
+    (kind, n_modes) and read-only.
 
     J = [[0, I], [-I, 0]], Omega = [[I, 0], [0, -I]], E = [[0, I], [I, 0]],
     I = identity, each of size 2*n_modes.
@@ -65,16 +67,25 @@ def structured(kind: str, n_modes: int) -> np.ndarray:
         raise ValueError(f"unknown structured kind {kind!r}, expected one of {_KINDS}")
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    n = n_modes
+    return _structured(kind, n_modes)
+
+
+# typed: 2.0 == 2 but np.eye(2.0) raises, so a float n_modes is its own key
+# and, raising, is never cached
+@functools.lru_cache(maxsize=None, typed=True)
+def _structured(kind: str, n: int) -> np.ndarray:
     eye = np.eye(n)
     zero = np.zeros((n, n))
     if kind == "J":
-        return np.block([[zero, eye], [-eye, zero]])
-    if kind == "Omega":
-        return np.block([[eye, zero], [zero, -eye]])
-    if kind == "E":
-        return np.block([[zero, eye], [eye, zero]])
-    return np.eye(2 * n)
+        M = np.block([[zero, eye], [-eye, zero]])
+    elif kind == "Omega":
+        M = np.block([[eye, zero], [zero, -eye]])
+    elif kind == "E":
+        M = np.block([[zero, eye], [eye, zero]])
+    else:
+        M = np.eye(2 * n)
+    M.flags.writeable = False       # every caller shares this one array
+    return M
 
 
 @dataclass(frozen=True)
@@ -118,7 +129,7 @@ def mat_exp(M) -> np.ndarray:
 
     M = _as_squares(M)
     out = scipy.linalg.expm(M)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericalError("matrix exponential overflowed")
     return out
 

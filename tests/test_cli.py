@@ -263,8 +263,15 @@ def test_hamiltonian_parse_errors_exit_3(doc, message, evolve_files, tmp_path, c
     (["phase", "two-mode", "-o"], 2, "phase grids are single-mode only"),
     (["phase", "G", "--grid", "1:2", "-o"], 1, "grid must be 'min:max:count'"),
     (["spectrum", "negative-G"], 2, "G must be positive definite"),
+    (["evolve", "R", "--ham", "h1", "--t", "nan", "-o"], 2, "--t must be finite, got nan"),
+    (["evolve", "R", "--ham", "h1", "--t", "inf", "-o"], 2, "--t must be finite, got inf"),
+    (["audit", "R", "--ham", "h1", "--t", "nan", "-o"], 2, "--t must be finite, got nan"),
+    (["audit", "R", "--ham", "h1", "--t", "inf", "-o"], 2, "--t must be finite, got inf"),
+    (["phase", "G", "--grid=0:1:1.5", "-o"], 1, "grid count must be an integer, got '1.5'"),
+    (["phase", "G", "--grid=a:1:3", "-o"], 1, "grid min must be a number, got 'a'"),
 ], ids=["evolve-negative-t", "evolve-G-file", "phase-two-modes", "phase-bad-grid",
-        "spectrum-negative-definite"])
+        "spectrum-negative-definite", "evolve-nan-t", "evolve-inf-t", "audit-nan-t",
+        "audit-inf-t", "phase-fractional-grid-count", "phase-non-numeric-grid-bound"])
 def test_command_errors_exit_with_their_code(argv, code, message, evolve_files,
                                              tmp_path, capsys):
     files = {**evolve_files, "G": tmp_path / "G.json", "two-mode": tmp_path / "two.json",

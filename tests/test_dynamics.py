@@ -163,6 +163,35 @@ def test_rk4_increment_matches_the_stage_wise_loop(kind, n):
         assert np.abs(traj.det_drift - ref_drift).max() <= 1e-12, steps
 
 
+def rk4_allocating_loop(kind, X0, H, t_end, steps):
+    """integrate_rk4's increment loop with a new array for every operation:
+    the kernels of each step."""
+    B = dynamics._generator(dynamics._flow_of(kind), H)
+    d = B.shape[0]
+    h = float(t_end) / steps
+    eye = np.eye(d * d)
+    hL = h * (np.kron(B, np.eye(d)) + np.kron(np.eye(d), B))
+    D = hL @ (eye + hL / 2 @ (eye + hL / 3 @ (eye + hL / 4)))
+    x = np.empty((steps + 1, d * d), dtype=complex)
+    x[0] = np.asarray(X0, dtype=complex).ravel()
+    c = np.zeros(d * d, dtype=complex)
+    for k in range(steps):
+        dx = D @ x[k] - c
+        x[k + 1] = x[k] + dx
+        c = (x[k + 1] - x[k]) - dx
+    return x.reshape(steps + 1, d, d)
+
+
+@pytest.mark.parametrize("kind", ["normal", "covariance"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rk4_in_place_steps_equal_the_allocating_loop(kind, n):
+    X0, H = rk4_input(kind, n, np.random.default_rng([98, n]))
+    for steps in (1, 10, 1000):
+        traj = dynamics.integrate_rk4(kind, X0, H, 1.0, steps)
+        np.testing.assert_array_equal(traj.kernels,
+                                      rk4_allocating_loop(kind, X0, H, 1.0, steps))
+
+
 def test_rk4_det_drift_on_grown_kernels_stays_within_the_stage_wise_loop():
     # these H grow R until |R|^2 >> |det R|, where every rounding of R moves
     # det R; the compensated sum keeps the drift at or below the loop's

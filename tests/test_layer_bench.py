@@ -28,7 +28,7 @@ def test_every_case_runs_and_compares(trees):
     result = json.loads(json.dumps(layer_bench.measure(this, other, repeats=1,
                                                        min_time=0.0)))
     names = [case["name"] for case in result["cases"]]
-    assert len(set(names)) == len(names) == 12
+    assert len(set(names)) == len(names) == 17
     assert all(case["median_s"] > 0 and case["number"] == 1 for case in result["cases"])
     for case in result["cases"]:
         vs = case["against"]

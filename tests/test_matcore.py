@@ -30,6 +30,31 @@ def test_structured_rejects_unknown_kind():
         structured("K", 1)
 
 
+@pytest.mark.parametrize("kind", ["J", "Omega", "E", "I"])
+def test_structured_is_built_once_and_read_only(kind):
+    M = structured(kind, 2)
+    assert structured(kind, 2) is M
+    with pytest.raises(ValueError, match="read-only"):
+        M[0, 0] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        M *= 2
+
+
+@pytest.mark.parametrize("args, error, message", [
+    (("K", 1), ValueError, "unknown structured kind 'K', expected one of "
+                           "('J', 'Omega', 'E', 'I')"),
+    (("J", 0), ValueError, "n_modes must be >= 1"),
+    (("J", 2.0), TypeError, "'float' object cannot be interpreted as an integer"),
+], ids=["unknown-kind", "no-modes", "float-modes"])
+def test_a_failed_structured_call_caches_nothing(args, error, message):
+    structured("J", 2)          # a cached (J, 2) must not answer (J, 2.0)
+    cached = matcore._structured.cache_info().currsize
+    with pytest.raises(error) as err:
+        structured(*args)
+    assert str(err.value) == message
+    assert matcore._structured.cache_info().currsize == cached
+
+
 def test_eig_decomp_reconstructs():
     rng = np.random.default_rng(11)
     for _ in range(10):

@@ -1,12 +1,13 @@
 """Layer timings of gnp: a fixed table of cases, timed in process.
 
 Each case is one call into one layer of the package.  A case is called once
-to warm up, then timed over REPEATS repeats of as many calls as fill
-MIN_TIME seconds; the result per case is the median and interquartile
-range of the per-call time over the repeats.  BLAS is pinned to one thread
-before numpy loads.  The JSON written also records the git revision of the
-timed tree and whether its sources differ from that revision (both from one
-`git status`), the core count and the numpy and scipy versions.
+to warm up and once more, warm, to size how many calls fill MIN_TIME
+seconds, then timed over REPEATS repeats of that many calls; the result per
+case is the median and interquartile range of the per-call time over the
+repeats.  BLAS is pinned to one thread before numpy loads.  The JSON written
+also records the git revision of the timed tree and whether its sources
+differ from that revision (both from one `git status`), the core count and
+the numpy and scipy versions.
 
     python tools/layer_bench.py BENCH_layers.json                      # ./src
     python tools/layer_bench.py BENCH_layers.json --against OTHER/src
@@ -23,8 +24,14 @@ dataclasses, dicts, lists and tuples), or "only in this tree" if its call
 raises on the other tree.  The other tree's figures go under each case's
 "against".
 
-The cases are the phase-space command (L3), the Fock oracle (L4), the
-calibration (L5) and file I/O (io): an in-process
+The cases are the matcore primitives (L0), the dynamics (L2), the
+phase-space command (L3), the Fock oracle (L4), the calibration (L5) and
+file I/O (io): the four structured matrices J, Omega, E and I of four modes;
+mat_exp of the 8x8 normal-flow generator -i H J with H = I + 0.1 (every
+entry); normal_propagate of a 4-mode squeezed thermal R under that H, one
+call at each of 101 times in [0, 1]; integrate_rk4 of the normal flow over
+1000 steps to t = 1 for a 2-mode squeezed thermal R under I + 0.1 and for
+the 4-mode R; an in-process
 `gnp phase --fn q --convention calibrated --grid=-2:2:41` through cli.main
 on a one-mode squeezed thermal state; gaussian_density on a separable
 two-mode squeezed thermal spec at cutoffs 14, 18 and 22, on a one-mode spec
@@ -83,8 +90,9 @@ def cases(gnp, workdir: Path) -> list:
     """(layer, name, call) for every case, built from the loaded package gnp;
     the command cases' files go in workdir."""
     import numpy as np
-    bridge, cli, dynamics, fo, kernels, stateio = (
-        gnp.bridge, gnp.cli, gnp.dynamics, gnp.fockoracle, gnp.kernels, gnp.stateio)
+    bridge, cli, dynamics, fo, kernels, matcore, stateio = (
+        gnp.bridge, gnp.cli, gnp.dynamics, gnp.fockoracle, gnp.kernels, gnp.matcore,
+        gnp.stateio)
 
     separable = fo.PhysicalSpec("squeezed-thermal", [1.8, 2.2], [0.2, 0.1])
     coupled = fo.PhysicalSpec("squeezed-thermal", [1.8, 2.2], [0.2, 0.1])
@@ -101,8 +109,10 @@ def cases(gnp, workdir: Path) -> list:
     stateio.write_state(state, kernels.make_squeezed_thermal([0.8], [0.3]), "sigma")
     stateio.write_hamiltonian(ham, dynamics.QuadraticHamiltonian(1, [[0.9, 0.2], [0.2, 0.7]]))
     four = kernels.make_squeezed_thermal([0.6, 0.9, 1.2, 1.5], [0.3, -0.2, 0.1, 0.0])
-    traj = dynamics.closed_form_trajectory(
-        "normal", kernels.ensure_form(four, "R"), np.eye(8) + 0.1, 1.0, 100)
+    R4, H4 = kernels.ensure_form(four, "R"), np.eye(8) + 0.1
+    traj = dynamics.closed_form_trajectory("normal", R4, H4, 1.0, 100)
+    R2 = kernels.ensure_form(kernels.make_squeezed_thermal([0.6, 0.9], [0.3, -0.2]), "R")
+    B4 = -1j * H4 @ matcore.structured("J", 4)
 
     def command(output, *argv):
         def call():
@@ -115,6 +125,15 @@ def cases(gnp, workdir: Path) -> list:
               lambda cutoff=cutoff: fo.gaussian_density(separable, cutoff))
              for cutoff in (14, 18, 22)]
     return [
+        ("L0", "structured J, Omega, E, I 4-mode",
+         lambda: [matcore.structured(kind, 4) for kind in ("J", "Omega", "E", "I")]),
+        ("L0", "mat_exp 8x8", lambda: matcore.mat_exp(B4)),
+        ("L2", "normal_propagate 4-mode at 101 times",
+         lambda: [dynamics.normal_propagate(R4, H4, t) for t in np.linspace(0.0, 1.0, 101)]),
+        ("L2", "integrate_rk4 normal 2-mode 1000 steps",
+         lambda: dynamics.integrate_rk4("normal", R2, H4[:4, :4], 1.0, 1000)),
+        ("L2", "integrate_rk4 normal 4-mode 1000 steps",
+         lambda: dynamics.integrate_rk4("normal", R4, H4, 1.0, 1000)),
         ("L3", "gnp phase --fn q calibrated grid 41x41",
          command(workdir / "q.csv", "phase", str(state), "--fn", "q",
                  "--convention", "calibrated", "--grid=-2:2:41")),
@@ -223,8 +242,9 @@ def measure(gnp, other=None, repeats: int = REPEATS, min_time: float = MIN_TIME)
             (Path(workdir) / "other").mkdir()
             theirs = {name: call for _, name, call in cases(other, Path(workdir) / "other")}
         for layer, name, call in cases(gnp, Path(workdir)):
-            t0 = time.perf_counter()
             output = call()                          # warm-up
+            t0 = time.perf_counter()                 # a warm call sizes number
+            call()
             number = max(1, int(min_time / max(time.perf_counter() - t0, 1e-9)))
             calls = [call]
             if name in theirs:
