@@ -25,7 +25,6 @@ symplectic residual, that of those S, after that guard.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,9 +62,6 @@ class QuadraticHamiltonian:
             raise ValueError("H must be finite")
         if np.abs(H.imag).max() > 1e-12 or np.abs(H - H.T).max() > 1e-12:
             raise ValueError("H must be real symmetric")
-        if np.linalg.eigvalsh(H.real).min() <= 0:
-            warnings.warn("H is not positive definite; evolution is still "
-                          "defined, but the state class is unusual")
         self.H = H.real
 
 

@@ -12,7 +12,6 @@ matcore's guard for its limit checks.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,7 +20,6 @@ import numpy as np
 from .errors import DomainError, TruncationError
 from .matcore import guard, structured
 
-TAIL_WARN = 1e-8
 TAIL_ERROR = 1e-4
 PAD = 8                # extra levels per mode under gaussian_density's exponents
 DERIVATIVE_STEP = 1e-3  # stencil step of derivative_identity_check
@@ -139,8 +137,6 @@ class PhysicalSpec:
 def _check_tail(rho: FockOperator, context: str):
     tail = rho.tail_mass()
     guard(tail, TAIL_ERROR, context + ": tail mass {:.3e} > {:.0e}", TruncationError)
-    if tail > TAIL_WARN:
-        warnings.warn(f"{context}: tail mass {tail:.3e} exceeds {TAIL_WARN:.0e}")
 
 
 def _hermitian_function(M: np.ndarray, f, error: str) -> np.ndarray:

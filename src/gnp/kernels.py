@@ -330,24 +330,27 @@ def make_thermal(omegas) -> GaussianState:
 
 
 def make_squeezed_thermal(omegas, rs) -> GaussianState:
-    """Squeezed thermal state: G = S^T K-tilde S, sigma = S^-1 nu-tilde S^-T,
-    for finite positive omegas (else DomainError) and one finite r per mode."""
+    """Squeezed thermal state: G = S^T K-tilde S, sigma = S^-1 nu-tilde S^-T
+    with the exact inverse S^-1 = S(-r), for finite positive omegas and one
+    finite r per mode; DomainError where G or sigma overflows."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
     if not np.all((omegas > 0) & (omegas < np.inf)):
         raise DomainError("all Williamson frequencies must be finite and positive")
     if len(rs) != len(omegas) or not np.all(np.isfinite(rs)):
         raise ValueError("need one finite squeeze parameter per mode")
-    S = squeeze_symplectic(rs)
     Ktilde = np.diag(np.concatenate([omegas, omegas]))
     nus = _eq9_ratio(omegas)
     nutilde = np.diag(np.concatenate([nus, nus]))
-    Sinv = np.linalg.inv(S)
-    G = (S.T @ Ktilde @ S).astype(complex)
-    sigma = (Sinv @ nutilde @ Sinv.T).astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S, Sinv = squeeze_symplectic(rs), squeeze_symplectic(-rs)
+        G = S.T @ Ktilde @ S
+        sigma = Sinv @ nutilde @ Sinv.T
+    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(sigma))):
+        raise DomainError(f"squeezes {rs.tolist()} give a non-finite G or sigma")
     return GaussianState(
         n_modes=len(omegas),
-        forms={"G": G, "sigma": sigma},
+        forms={"G": G.astype(complex), "sigma": sigma.astype(complex)},
         provenance=f"squeezed_thermal(omegas={omegas.tolist()}, rs={rs.tolist()})",
     )
 

@@ -6,8 +6,6 @@ literal normal-product flow against the independent Fock-space oracle; see
 test_criterion_09 for why it is expected to fail as formulated.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -135,9 +133,7 @@ def test_criterion_08_oracle_calibration(report_line):
     rho = fo.gaussian_density(fo.PhysicalSpec("thermal", [LN2]), 40)
     q0_res = abs(fo.q_of_rho(rho, 0.0) - 0.5)
     hess_res = np.abs(fo.r_from_q_hessian(rho) - 0.5 * structured("E", 1)).max()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = bridge.calibrate(cutoff=40)
+    rep = bridge.calibrate(cutoff=40)
     winners = [g for g in rep.degeneracy_groups
                if rep.kernel_residuals[g[0]] <= 1e-6]
     ok = (q0_res <= 1e-8 and hess_res <= 1e-6 and len(winners) == 1

@@ -174,3 +174,19 @@ def test_report_lines_are_printable(report):
     lines = report.lines()
     assert any("selected" in ln for ln in lines)
     assert any("degenerate" in ln for ln in lines)
+
+
+@pytest.mark.parametrize("tol, value, message", [
+    ("ACCEPT_TOL", -1.0, r"no kernel-map hypothesis matched the Fock oracle; "
+                         r"residuals: identity=\d\.\d\de[+-]\d\d, "),
+    ("ACCEPT_TOL", np.inf, r"multiple distinguishable kernel maps survive calibration: "
+                           r"identity,conjugate-by-E; negate,negate-conjugate-by-E; "
+                           r"conjugate-by-Omega$"),
+    ("PREFACTOR_TOL", -1.0, r"best prefactor rule 'sqrt-det-ER' residual "
+                            r"\d\.\d{3}e-05 exceeds -1e\+00$"),
+], ids=["no-map", "two-maps", "no-prefactor"])
+def test_calibrate_refuses_when_no_unique_hypothesis_passes(monkeypatch, tol, value,
+                                                           message):
+    monkeypatch.setattr(bridge, tol, value)
+    with pytest.raises(NumericalError, match="^" + message):
+        bridge.calibrate(cutoff=30)

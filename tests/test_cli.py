@@ -6,14 +6,14 @@ import os
 import re
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gnp import cli, dynamics, kernels, stateio
+from gnp import cli, dynamics, fockoracle as fo, kernels, stateio
 from gnp.errors import DomainError, GnpError, NumericalError, TruncationError
+from gnp.matcore import structured
 from gnp.stateio import ParseError
 
 LN2 = np.log(2.0)
@@ -29,9 +29,7 @@ def thermal_file(tmp_path):
 @pytest.fixture
 def ham_file(tmp_path):
     path = tmp_path / "h.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # this H is deliberately not PD
-        ham = dynamics.QuadraticHamiltonian(1, np.array([[0.5, 1.0], [1.0, 0.5]]))
+    ham = dynamics.QuadraticHamiltonian(1, np.array([[0.5, 1.0], [1.0, 0.5]]))
     stateio.write_hamiltonian(path, ham)
     return str(path)
 
@@ -64,6 +62,19 @@ def test_hamiltonian_round_trip(tmp_path):
     np.testing.assert_array_equal(back.H, H)
 
 
+def test_stable_hamiltonians_and_a_converged_density_stay_silent(tmp_path, recwarn):
+    # H = E is the stable oscillator, h1 a Hermitian stable H with a negative
+    # eigenvalue, and the thermal density's tail mass (2.1e-6) is far inside
+    # TAIL_ERROR: gnp accepts all three without a word
+    dynamics.QuadraticHamiltonian(1, structured("E", 1))
+    path = tmp_path / "h1.json"
+    path.write_text(json.dumps({"n_modes": 1, "matrix": [
+        [[0.5, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.5, 0.0]]]}))
+    stateio.read_hamiltonian(path)
+    fo.gaussian_density(fo.PhysicalSpec("thermal", [0.3]), 40)
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_read_state_parse_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -72,6 +83,10 @@ def test_read_state_parse_errors(tmp_path):
     bad.write_text(json.dumps({"n_modes": 1, "form": "G",
                                "matrix": [[1.0, 2.0], [3.0, 4.0]]}))
     with pytest.raises(ParseError):
+        stateio.read_state(bad)
+    bad.write_text(json.dumps({"n_modes": 1, "form": "G",
+                               "matrix": [[["a", 0], [0, 0]], [[0, 0], [1, 0]]]}))
+    with pytest.raises(ParseError, match=r": matrix entries must be \[re, im\] pairs$"):
         stateio.read_state(bad)
 
 

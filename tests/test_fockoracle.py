@@ -2,7 +2,6 @@
 
 import ast
 import re
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -145,15 +144,13 @@ def test_thermal_spec_refuses_a_nonzero_squeeze(rs):
 def test_spec_refuses_a_squeeze_whose_kernel_overflows(r):
     # the kernel carries cosh(2r) ~ e^{2|r|}/2: finite at |r| = 300
     # (1e260), past the largest double at |r| = 400
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        if abs(r) < 355:
-            assert np.all(np.isfinite(
-                fo.PhysicalSpec("squeezed-thermal", [1.0], [r]).operator_kernel))
-        else:
-            with pytest.raises(DomainError, match=rf"^squeezes \[{r}\] give a "
-                               "non-finite operator kernel$"):
-                fo.PhysicalSpec("squeezed-thermal", [1.0], [r])
+    if abs(r) < 355:
+        assert np.all(np.isfinite(
+            fo.PhysicalSpec("squeezed-thermal", [1.0], [r]).operator_kernel))
+    else:
+        with pytest.raises(DomainError, match=rf"^squeezes \[{r}\] give a "
+                           "non-finite operator kernel$"):
+            fo.PhysicalSpec("squeezed-thermal", [1.0], [r])
 
 
 def test_thermal_spec_accepts_zero_squeezes():
@@ -226,11 +223,9 @@ def test_groups_land_on_their_mode_axes():
     cutoff = 7
     omegas, rs = [3.5, 2.8, 4.0], [0.1, -0.2, 0.15]
     spec = beam_split(fo.PhysicalSpec("squeezed-thermal", omegas, rs), 0, 2, 0.4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rho = fo.gaussian_density(spec, cutoff).matrix
-        free = fo.gaussian_density(
-            fo.PhysicalSpec("squeezed-thermal", omegas[1:2], rs[1:2]), cutoff).matrix
+    rho = fo.gaussian_density(spec, cutoff).matrix
+    free = fo.gaussian_density(
+        fo.PhysicalSpec("squeezed-thermal", omegas[1:2], rs[1:2]), cutoff).matrix
     assert abs(np.trace(rho) - 1.0) <= 1e-14
     assert np.abs(rho - rho.conj().T).max() <= 1e-15
     r = rho.reshape((cutoff,) * 6)              # r[m1, m2, m3, k1, k2, k3]
@@ -265,9 +260,7 @@ def test_broadcast_product_equals_the_einsum_assembly(case):
         spec = beam_split(fo.PhysicalSpec("squeezed-thermal", [3.5, 2.8, 4.0],
                                           [0.1, -0.2, 0.15]), 0, 2, 0.4)
         cutoff = 7
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rho = fo.gaussian_density(spec, cutoff).matrix
+    rho = fo.gaussian_density(spec, cutoff).matrix
     assert np.array_equal(rho, einsum_assembly(spec, cutoff))
 
 
@@ -398,22 +391,8 @@ def test_tail_mass_reads_the_top_levels(n_modes):
 
 
 @pytest.mark.parametrize("n_modes", [1, 2])
-def test_check_tail_silent_just_inside_warn(n_modes):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        fo._check_tail(diagonal_density(n_modes, fo.TAIL_WARN * (1 - 1e-6)), "ctx")
-
-
-@pytest.mark.parametrize("n_modes", [1, 2])
-def test_check_tail_warns_just_outside_warn(n_modes):
-    with pytest.warns(UserWarning, match="ctx: tail mass"):
-        fo._check_tail(diagonal_density(n_modes, fo.TAIL_WARN * (1 + 1e-6)), "ctx")
-
-
-@pytest.mark.parametrize("n_modes", [1, 2])
-def test_check_tail_warns_just_inside_error(n_modes):
-    with pytest.warns(UserWarning, match="ctx: tail mass"):
-        fo._check_tail(diagonal_density(n_modes, fo.TAIL_ERROR * (1 - 1e-6)), "ctx")
+def test_check_tail_silent_just_inside_error(n_modes):
+    fo._check_tail(diagonal_density(n_modes, fo.TAIL_ERROR * (1 - 1e-6)), "ctx")
 
 
 @pytest.mark.parametrize("n_modes", [1, 2])
@@ -503,16 +482,12 @@ ROTATED_CASES = {
 
 def rotated_density(n_modes, t):
     spec, cutoff, H = ROTATED_CASES[n_modes]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return fo.liouville_step(fo.gaussian_density(spec, cutoff), H, t)
+    return fo.liouville_step(fo.gaussian_density(spec, cutoff), H, t)
 
 
 def oracle_density(n_modes):
     spec, cutoff = ORACLE_CASES[n_modes]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return fo.gaussian_density(spec, cutoff)
+    return fo.gaussian_density(spec, cutoff)
 
 
 def coherent_projector(alpha, cutoff):
@@ -608,9 +583,7 @@ def interleaved_density():
     # modes 1 and 3 coupled, mode 2 free, as in test_groups_land_on_their_mode_axes
     spec = beam_split(fo.PhysicalSpec("squeezed-thermal", [3.5, 2.8, 4.0],
                                       [0.1, -0.2, 0.15]), 0, 2, 0.4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return fo.gaussian_density(spec, 7)
+    return fo.gaussian_density(spec, 7)
 
 
 @pytest.mark.parametrize("density", [

@@ -61,6 +61,19 @@ def test_squeezed_thermal_needs_one_finite_squeeze_per_mode(rs):
         kernels.make_squeezed_thermal([1.0], rs)
 
 
+@pytest.mark.parametrize("r", [20.0, -20.0, 400.0, -400.0])
+def test_squeezed_thermal_inverts_s_exactly_or_refuses_an_overflow(r):
+    # S(r) is singular to working precision at |r| = 20, S(-r) is its
+    # inverse; G carries cosh(r)^2, past the largest double at |r| = 400
+    if abs(r) < 355:
+        st = kernels.make_squeezed_thermal([1.0], [r])
+        assert all(np.all(np.isfinite(M)) for M in st.forms.values())
+    else:
+        with pytest.raises(DomainError, match=rf"^squeezes \[{r}\] give a "
+                           "non-finite G or sigma$"):
+            kernels.make_squeezed_thermal([1.0], [r])
+
+
 def test_squeezed_thermal_consistency():
     st = kernels.make_squeezed_thermal([1.0], [0.4])
     np.testing.assert_allclose(kernels.g_to_sigma(st.forms["G"]),

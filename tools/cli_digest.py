@@ -10,8 +10,8 @@ file it wrote.  The input files are hashed under the key "setup".
     python tools/cli_digest.py out.json --against OTHER/src    # and compare
 
 --against also digests the gnp tree at OTHER/src, loaded into this process
-under its own package name, prints the commands whose digests differ, and
-exits 1 on any difference.
+under its own package name, prints the commands whose digests differ with
+the parts of each that differ, and exits 1 on any difference.
 
 The set covers thermal omega = 1.3, squeezed thermal omega = 0.9, r = 0.3 and
 two-mode omega = 0.8/1.4, r = 0.3/-0.2, each stored as G, sigma, R and C:
@@ -91,12 +91,10 @@ def _write_inputs(gnp) -> dict:
                [0.1, 0.0, 0.9, 0.1], [0.0, 0.3, 0.1, 1.1]],
         "h3": np.diag([1.0, 1.2, 0.8, 1.1, 0.9, 1.3]) + 0.1,
     }
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for label, H in hams.items():
-            H = np.asarray(H, dtype=float)
-            stateio.write_hamiltonian(
-                f"{label}.json", dynamics.QuadraticHamiltonian(len(H) // 2, H))
+    for label, H in hams.items():
+        H = np.asarray(H, dtype=float)
+        stateio.write_hamiltonian(
+            f"{label}.json", dynamics.QuadraticHamiltonian(len(H) // 2, H))
     return {label: state.n_modes for label, state in states.items()}
 
 
@@ -162,8 +160,11 @@ def _digest_files(names) -> str:
     return h.hexdigest()
 
 
-def _run(cli, argv) -> str:
-    """SHA-256 of one command's exit code, output, warnings and new files."""
+PARTS = ("exit code", "stdout", "stderr", "warnings", "files")
+
+
+def _run(cli, argv) -> dict:
+    """One command's PARTS: exit code, output, warnings and new files."""
     before = set(os.listdir())
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
@@ -174,17 +175,31 @@ def _run(cli, argv) -> str:
         except SystemExit as exc:       # argparse usage errors
             code = exc.code
     written = set(os.listdir()) - before
-    h = hashlib.sha256()
-    for part in (repr(code), out.getvalue(), err.getvalue(),
-                 "".join(f"{w.category.__name__}: {w.message}\n" for w in caught),
-                 _digest_files(written)):
-        h.update(part.encode() + b"\0")
+    parts = dict(zip(PARTS, (
+        repr(code), out.getvalue(), err.getvalue(),
+        "".join(f"{w.category.__name__}: {w.message}\n" for w in caught),
+        _digest_files(written))))
     for name in written:
         os.remove(name)
+    return parts
+
+
+def _hash(parts: dict) -> str:
+    """SHA-256 of a command's parts, in PARTS order."""
+    h = hashlib.sha256()
+    for name in PARTS:
+        h.update(parts[name].encode() + b"\0")
     return h.hexdigest()
 
 
+def hashes(result: dict) -> dict:
+    """The JSON map: the setup digest, and one hash per command."""
+    return {key: value if key == "setup" else _hash(value)
+            for key, value in result.items()}
+
+
 def digest(gnp) -> dict:
+    """{"setup": digest of the input files, command line: its parts}."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -199,11 +214,14 @@ def digest(gnp) -> dict:
 
 
 def compare(a: dict, b: dict) -> int:
-    """Print the keys whose digests differ; returns their count."""
+    """Print the keys whose digests differ, with the parts that differ for a
+    command; returns their count."""
     differ = sorted(k for k in a.keys() & b.keys() if a[k] != b[k])
     only = sorted(a.keys() ^ b.keys())
     for key in differ:
-        print(f"differs: {key}")
+        parts = "" if key == "setup" else " [{}]".format(
+            ", ".join(name for name in PARTS if a[key][name] != b[key][name]))
+        print(f"differs: {key}{parts}")
     for key in only:
         print(f"only in {'this tree' if key in a else 'the other'}: {key}")
     print(f"{len(a.keys() & b.keys()) - len(differ)} identical, "
@@ -218,7 +236,7 @@ def main(argv=None) -> int:
                     help="also digest the gnp tree there and compare the maps")
     args = ap.parse_args(argv)
     result = digest(load(SRC, "gnp_this"))
-    Path(args.output).write_text(json.dumps(result, indent=1) + "\n")
+    Path(args.output).write_text(json.dumps(hashes(result), indent=1) + "\n")
     print(f"{len(result) - 1} commands digested to {args.output}")
     if args.against is None:
         return 0

@@ -61,7 +61,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import warnings
 from importlib import metadata
 from pathlib import Path
 
@@ -101,10 +100,8 @@ def cases(gnp, workdir: Path) -> list:
     coupled.operator_kernel = S.T @ coupled.operator_kernel @ S
     one = fo.PhysicalSpec("squeezed-thermal", [0.7], [0.4])
     thermal = fo.PhysicalSpec("thermal", [0.7])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rho = fo.gaussian_density(thermal, 40)
-        rho_separable = fo.gaussian_density(separable, 22)
+    rho = fo.gaussian_density(thermal, 40)
+    rho_separable = fo.gaussian_density(separable, 22)
     state, ham = workdir / "state.json", workdir / "ham.json"
     stateio.write_state(state, kernels.make_squeezed_thermal([0.8], [0.3]), "sigma")
     stateio.write_hamiltonian(ham, dynamics.QuadraticHamiltonian(1, [[0.9, 0.2], [0.2, 0.7]]))
@@ -234,8 +231,7 @@ def measure(gnp, other=None, repeats: int = REPEATS, min_time: float = MIN_TIME)
         "scipy": metadata.version("scipy"),
         "cases": [],
     }
-    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as workdir:
-        warnings.simplefilter("ignore")              # tail-mass notices
+    with tempfile.TemporaryDirectory() as workdir:
         theirs = {}
         if other is not None:
             result["against"] = provenance(other)
