@@ -107,9 +107,9 @@ def resolve_convention(R, name: str) -> tuple[complex, np.ndarray]:
 DEFAULT_CUTOFF = 40
 DEGENERACY_TOL = 1e-12
 ACCEPT_TOL = 1e-6
-# Q(0) of squeezed members converges slowly in the truncation (the exponential
-# of the cut generator mixes levels), so the prefactor leg gets a looser gate;
-# the candidate rules differ at order 1, leaving a huge margin either way.
+# The oracle's Q(0) is off by rho_00 times the mass the cut to `cutoff` loses,
+# since _padded_density renormalizes after the cut, so the prefactor leg gets a
+# looser gate; the candidate rules differ at order 1, a huge margin either way.
 PREFACTOR_TOL = 1e-4
 
 

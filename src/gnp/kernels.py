@@ -129,7 +129,8 @@ def validate_state(state: GaussianState) -> ValidationReport:
         report.add("G.real", np.abs(G.imag).max(), 1e-12)
         report.add("G.symmetric", np.abs(G - G.T).max(), 1e-12)
         w = np.linalg.eigvalsh(G.real)
-        report.add("G.positive_definite", max(0.0, -w.min()), 1e-12,
+        # a flag: strict, as symplectic_spectrum is, so a singular G fails
+        report.add("G.positive_definite", 0.0 if w.min() > 0 else 1.0, 1e-12,
                    note=f"min eigenvalue {w.min():.6g}")
     if state.has("sigma"):
         sigma = state.forms["sigma"]
@@ -306,7 +307,11 @@ def symplectic_spectrum(G) -> SymplecticSpectrum:
     if len(pos) != n or len(neg) != n or np.abs(pos - neg).max() > 1e-9 * scale:
         raise DomainError("eigenvalues of J G do not pair as +-i omega")
     omegas = 0.5 * (pos + neg)
-    return SymplecticSpectrum(omegas=omegas, nus=_eq9_ratio(omegas))
+    with np.errstate(divide="ignore"):
+        nus = _eq9_ratio(omegas)
+    if not np.isfinite(nus).all():
+        raise DomainError(f"nu is not finite at omega {omegas[~np.isfinite(nus)]}")
+    return SymplecticSpectrum(omegas=omegas, nus=nus)
 
 
 def squeeze_symplectic(rs) -> np.ndarray:

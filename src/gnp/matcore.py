@@ -160,9 +160,8 @@ def determinant(M) -> complex | np.ndarray:
 def dense_solve(M, B) -> np.ndarray:
     """Solve M X = B, refusing near-singular systems.
 
-    For one M, B is (d,), (d, k) or a stack (m, d, k) whose systems share
-    one residual bound (the error reports their largest residual); for a
-    stack M, B is (d, k) or (m, d, k). The inverse of M is dense_solve(M, I).
+    For one M, B is (d,) or (d, k); for a stack M, B is (d, k) or (m, d, k).
+    The inverse of M is dense_solve(M, I).
     """
     M = _as_squares(M)
     B = np.asarray(B, dtype=complex)
@@ -171,8 +170,7 @@ def dense_solve(M, B) -> np.ndarray:
     axes = (-1,) if B.ndim == 1 else (-2, -1)
     scale = np.maximum(np.linalg.norm(B, axis=axes), 1e-300)
     residual = np.linalg.norm(M @ X - B, axis=axes) / scale
-    guard(residual if M.ndim == 3 else np.max(residual), TOL_SOLVE,
-          "solve residual {:.3e} > {:.0e}")
+    guard(residual, TOL_SOLVE, "solve residual {:.3e} > {:.0e}")
     return X
 
 

@@ -59,43 +59,39 @@ class PhaseTable:
     measure_note: str = MEASURE_NOTE
 
 
-def _z_stack(z) -> np.ndarray:
-    """Z vectors (z_1..z_n, z_1*..z_n*) of a stack of points z, (m, n) -> (m, 2n)."""
-    z = np.asarray(z, dtype=complex)
-    return np.concatenate([z, z.conj()], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # evaluators
 
-def _evaluate(state: GaussianState, function_kind: str, Zs,
-              convention: str) -> np.ndarray:
-    """Values of one phase-space function at the rows of Zs, shape (m, 2n).
+def _gaussian(state: GaussianState, function_kind: str,
+              convention: str) -> tuple[complex | None, np.ndarray]:
+    """(N, K) of one phase-space function, whose value at Z is N exp(-1/2 Z^T K Z).
 
-    The state's kernel and prefactor are resolved once for all rows.
+    Q takes the convention's (N, R).  W and chi are the literal forms; as
+    Z^dag = (E Z)^T, their K are 2 E sigma^-1 and E C, E M being M's row
+    blocks swapped, exactly.  chi's N is None, not 1: a product with 1 would
+    turn an underflowed -0.0 into +0.0.
     """
     if function_kind == "husimi":
-        return _husimi(*bridge.resolve_convention(
-            kernels.ensure_form(state, "R"), convention), Zs)
-    # stacked (1, 2n) @ (2n, 2n) @ (2n, 1) products repeat the arithmetic of
-    # the 1-D product Z @ M @ Z bit for bit; einsum does not
-    Zr, Zc = Zs[:, None, :], Zs[:, :, None]
+        return bridge.resolve_convention(kernels.ensure_form(state, "R"), convention)
     if function_kind == "wigner":
         sigma = kernels.ensure_form(state, "sigma")
         det = matcore.determinant(sigma)
         if abs(det) < 1e-300:
             raise DomainError("singular covariance kernel")
-        expo = -(Zr.conj() @ matcore.dense_solve(sigma, Zc))[:, 0, 0]
-        return np.sqrt(det) ** -1 * np.exp(expo)
+        return np.sqrt(det) ** -1, 2.0 * np.roll(matcore.inverse(sigma), state.n_modes, 0)
     if function_kind == "charfn":
-        C = kernels.ensure_form(state, "C")
-        return np.exp(-0.5 * (Zr.conj() @ C @ Zc)[:, 0, 0])
+        return None, np.roll(kernels.ensure_form(state, "C"), state.n_modes, 0)
     raise ValueError(f"unknown function kind {function_kind!r}")
 
 
-def _husimi(N, R, Zs) -> np.ndarray:
-    """N exp(-1/2 Z^T R Z) at the rows of Zs, from the resolved (N, R)."""
-    return N * np.exp(-0.5 * (Zs[:, None, :] @ R @ Zs[:, :, None])[:, 0, 0])
+def _values(N, K, z) -> np.ndarray:
+    """N exp(-1/2 Z^T K Z) at Z = (z_1..z_n, z_1*..z_n*) for each row of z,
+    (m, n); N None reads as 1.  The stacked products repeat the 1-D
+    Z @ K @ Z bit for bit; einsum does not."""
+    z = np.asarray(z, dtype=complex)
+    Z = np.concatenate([z, z.conj()], axis=1)
+    values = np.exp(-0.5 * (Z[:, None, :] @ K @ Z[:, :, None])[:, 0, 0])
+    return values if N is None else N * values
 
 
 def _at_point(state: GaussianState, function_kind: str, z,
@@ -105,7 +101,7 @@ def _at_point(state: GaussianState, function_kind: str, z,
     if z.shape != (state.n_modes,):
         raise ValueError(f"state has {state.n_modes} mode(s), "
                          f"z {z.size} amplitude(s)")
-    return complex(_evaluate(state, function_kind, _z_stack([z]), convention)[0])
+    return complex(_values(*_gaussian(state, function_kind, convention), [z])[0])
 
 
 def husimi_q(state: GaussianState, z, convention: str = AS_PUBLISHED) -> complex:
@@ -173,7 +169,7 @@ def grid_eval(state: GaussianState, function_kind: str, grid: PhaseGrid,
     values are always the literal forms, and their tables say as-published.
     """
     points = grid.points()
-    values = _evaluate(state, function_kind, _z_stack(points[:, None]), convention)
+    values = _values(*_gaussian(state, function_kind, convention), points[:, None])
     if function_kind != "husimi":
         convention = AS_PUBLISHED
     return PhaseTable(function_kind=function_kind, convention=convention,
@@ -197,8 +193,8 @@ def q_norm_check(state: GaussianState, convention: str = CALIBRATED) -> float:
                     im_range=(-radius, radius, QUAD_POINTS))
     xs, _ = box.axes()
     dx = xs[1] - xs[0]
-    N, R = bridge.resolve_convention(kernels.ensure_form(state, "R"), convention)
-    values = _husimi(N, R, _z_stack(box.points()[:, None]))
+    N, R = _gaussian(state, "husimi", convention)
+    values = _values(N, R, box.points()[:, None])
     integral = complex(np.sum(values) * dx * dx / np.pi)
     if not kernels.husimi_decays(R):
         raise DomainError(

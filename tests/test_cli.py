@@ -223,6 +223,14 @@ def test_validate_bad_state_exits_1(tmp_path, capsys):
     assert cli.main(["validate", str(path)]) == 1
 
 
+def test_validate_singular_g_exits_1(tmp_path, capsys):
+    path = tmp_path / "singular.json"
+    stateio.write_state(path, kernels.GaussianState(1, {"G": np.diag([1.0, 0.0])}), "G")
+    assert cli.main(["validate", str(path)]) == 1
+    assert "FAIL G.positive_definite: residual 1.000e+00 (tol 1e-12)  [min eigenvalue 0]" \
+        in capsys.readouterr().out
+
+
 def test_missing_file_exits_3(capsys):
     assert cli.main(["validate", "no-such-file.json"]) == 3
 

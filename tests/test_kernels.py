@@ -176,6 +176,16 @@ def test_symplectic_spectrum_real_symmetric_bound_just_inside_and_outside(part):
         kernels.symplectic_spectrum(off_real_symmetric(part, 2e-12))
 
 
+def test_symplectic_spectrum_refuses_an_infinite_thermal_weight():
+    # nu = coth(omega/2) ~ 2/omega: finite at omega = 1e-15, 1/0 below ~1e-16
+    spec = kernels.symplectic_spectrum(np.diag([1e-15, 1e-15]))
+    np.testing.assert_allclose(spec.nus, [2.0e15], rtol=1e-3)
+    with pytest.raises(DomainError, match=r"^nu is not finite at omega \[1\.e-17\]$"):
+        kernels.symplectic_spectrum(np.diag([1e-17, 1e-17]))
+    with pytest.raises(DomainError, match=r"omega \[1\.e-17\]$"):
+        kernels.symplectic_spectrum(np.diag([1e-17, 0.5, 1e-17, 0.5]))
+
+
 def test_symplectic_spectrum_rejects_asymmetric():
     with pytest.raises(DomainError):
         kernels.symplectic_spectrum(np.array([[1.0, 0.2], [0.0, 1.0]]))
@@ -204,6 +214,14 @@ def test_state_refuses_a_non_finite_kernel(form):
 def test_validate_catches_asymmetric_g():
     st = kernels.GaussianState(1, {"G": np.array([[1.0, 0.3], [0.0, 1.0]])})
     assert not kernels.validate_state(st).passed
+
+
+@pytest.mark.parametrize("G", [np.diag([1.0, 0.0]), np.zeros((2, 2)),
+                               np.diag([1.0, -0.5])], ids=["singular", "zero", "indefinite"])
+def test_validate_fails_a_g_that_is_not_positive_definite(G):
+    check = kernels.validate_state(kernels.GaussianState(1, {"G": G})).checks[2]
+    assert (check.name, check.passed) == ("G.positive_definite", False)
+    assert check.residual > check.tol
 
 
 def test_validate_all_four_forms_check_names():

@@ -2,6 +2,7 @@
 by side and reads the same bytes, and a case reads faster or slower only
 from enough pairs."""
 
+import gc
 import importlib.util
 import json
 from pathlib import Path
@@ -28,7 +29,7 @@ def test_every_case_runs_and_compares(trees):
     result = json.loads(json.dumps(layer_bench.measure(this, other, repeats=1,
                                                        min_time=0.0)))
     names = [case["name"] for case in result["cases"]]
-    assert len(set(names)) == len(names) == 17
+    assert len(set(names)) == len(names) == 18
     assert all(case["median_s"] > 0 and case["number"] == 1 for case in result["cases"])
     for case in result["cases"]:
         vs = case["against"]
@@ -67,3 +68,19 @@ def test_compare_reads_the_cases_every_run_has(trees, monkeypatch):
     result = layer_bench.measure(this, other, repeats=1, min_time=0.0)
     assert [case.get("against", {}).get("same_bytes") for case in result["cases"]] == [
         True, False, None]
+
+
+def test_time_calls_keeps_the_collector_off_and_restores_it_on_a_raise():
+    enabled = []
+
+    def call():
+        enabled.append(gc.isenabled())
+    assert gc.isenabled()
+    layer_bench.time_calls([call, call], repeats=2, number=2)
+    assert enabled == [False] * 8 and gc.isenabled()
+
+    def broken():
+        raise RuntimeError("broken case")
+    with pytest.raises(RuntimeError, match="broken case"):
+        layer_bench.time_calls([call, broken], repeats=2, number=1)
+    assert gc.isenabled()

@@ -108,9 +108,6 @@ def test_solve_residual_guard_names_the_failing_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", lambda M, B: solve(M, B) * scale)
     with pytest.raises(NumericalError, match=r"residual 2\.000e-10 > 1e-10 at matrix 1$"):
         matcore.inverse(_stack_of_three(np.diag([5.0, 6.0])))
-    # one M against a stack of right-hand sides: their largest residual, no index
-    with pytest.raises(NumericalError, match=r"residual 2\.000e-10 > 1e-10$"):
-        matcore.dense_solve(np.diag([1.0, 2.0]), np.ones((3, 2, 1)))
 
 
 @pytest.mark.parametrize("call, bad", [
@@ -278,22 +275,6 @@ def test_dense_solve_refuses_singular():
     M = np.ones((3, 3))
     with pytest.raises(NumericalError):
         matcore.dense_solve(M, np.eye(3))
-
-
-def test_dense_solve_stack_matches_per_system_solves():
-    rng = np.random.default_rng(23)
-    M = rng.standard_normal((4, 4)) + 4 * np.eye(4) + 1j * rng.standard_normal((4, 4))
-    B = rng.standard_normal((7, 4, 1)) + 1j * rng.standard_normal((7, 4, 1))
-    X = matcore.dense_solve(M, B)
-    assert X.shape == B.shape
-    for k in range(len(B)):
-        np.testing.assert_array_equal(X[k, :, 0], matcore.dense_solve(M, B[k, :, 0]))
-
-
-def test_dense_solve_stack_refuses_ill_conditioned():
-    M = np.diag([1.0, 1.0 / (10 * matcore.COND_LIMIT)])
-    with pytest.raises(NumericalError):
-        matcore.dense_solve(M, np.ones((3, 2, 1)))
 
 
 def test_dense_solve_condition_guard_just_inside_and_outside():

@@ -93,8 +93,9 @@ def _per_point_reference(state, kind, conv, Zv):
         return complex(N * np.exp(-0.5 * Zv @ R @ Zv))
     if kind == "wigner":
         sigma = kernels.ensure_form(state, "sigma")
-        expo = -(Zv.conj() @ matcore.dense_solve(sigma, Zv))
-        return complex(np.sqrt(matcore.determinant(sigma)) ** -1 * np.exp(expo))
+        K = 2.0 * matcore.structured("E", state.n_modes) @ matcore.inverse(sigma)
+        return complex(np.sqrt(matcore.determinant(sigma)) ** -1
+                       * np.exp(-0.5 * Zv @ K @ Zv))
     C = kernels.ensure_form(state, "C")
     return complex(np.exp(-0.5 * Zv.conj() @ C @ Zv))
 
@@ -123,6 +124,13 @@ def test_grid_eval_equals_single_point_evaluators(form):
         reference = [_per_point_reference(st, kind, conv, np.array([z, z.conj()]))
                      for z in table.points]
         assert table.values.tolist() == singles == reference      # bit for bit
+    # W near the formula it replaced: a solve of sigma X = Z at each point
+    sigma = kernels.ensure_form(st, "sigma")
+    solved = [np.sqrt(matcore.determinant(sigma)) ** -1
+              * np.exp(-(Zv.conj() @ matcore.dense_solve(sigma, Zv)))
+              for Zv in np.stack([grid.points(), grid.points().conj()], axis=1)]
+    values = phasespace.grid_eval(st, "wigner", grid).values
+    np.testing.assert_allclose(values, solved, rtol=1e-13, atol=0)
 
 
 def test_grid_eval_resolves_the_kernel_once(monkeypatch):

@@ -25,15 +25,16 @@ raises on the other tree.  The other tree's figures go under each case's
 "against".
 
 The cases are the matcore primitives (L0), the dynamics (L2), the
-phase-space command (L3), the Fock oracle (L4), the calibration (L5) and
+phase-space commands (L3), the Fock oracle (L4), the calibration (L5) and
 file I/O (io): the four structured matrices J, Omega, E and I of four modes;
 mat_exp of the 8x8 normal-flow generator -i H J with H = I + 0.1 (every
 entry); normal_propagate of a 4-mode squeezed thermal R under that H, one
 call at each of 101 times in [0, 1]; integrate_rk4 of the normal flow over
 1000 steps to t = 1 for a 2-mode squeezed thermal R under I + 0.1 and for
-the 4-mode R; an in-process
-`gnp phase --fn q --convention calibrated --grid=-2:2:41` through cli.main
-on a one-mode squeezed thermal state; gaussian_density on a separable
+the 4-mode R; in-process
+`gnp phase --fn q --convention calibrated --grid=-2:2:41` and
+`gnp phase --fn wigner --grid=-2:2:41` through cli.main on a one-mode
+squeezed thermal state; gaussian_density on a separable
 two-mode squeezed thermal spec at cutoffs 14, 18 and 22, on a one-mode spec
 at 40 and on a beam-split (coupled) two-mode spec at 12; quad_operator on
 the one-mode kernel at 48; one liouville_step of a one-mode thermal density
@@ -50,6 +51,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -134,6 +136,9 @@ def cases(gnp, workdir: Path) -> list:
         ("L3", "gnp phase --fn q calibrated grid 41x41",
          command(workdir / "q.csv", "phase", str(state), "--fn", "q",
                  "--convention", "calibrated", "--grid=-2:2:41")),
+        ("L3", "gnp phase --fn wigner grid 41x41",
+         command(workdir / "w.csv", "phase", str(state), "--fn", "wigner",
+                 "--grid=-2:2:41")),
         *table,
         ("L4", "gaussian_density 1-mode cutoff 40", lambda: fo.gaussian_density(one, 40)),
         ("L4", "gaussian_density 2-mode coupled cutoff 12",
@@ -154,14 +159,24 @@ def cases(gnp, workdir: Path) -> list:
 
 
 def time_calls(calls: list, repeats: int, number: int) -> list:
-    """Per-call seconds of each of calls per repeat; the first to go alternates."""
+    """Per-call seconds of each of calls per repeat; the first to go alternates.
+
+    The garbage collector runs once and then stays off over the repeats (and
+    is switched on again however they end), so no call is charged for
+    collecting the garbage that earlier calls, or the other tree's, left.
+    """
     per_call = [[] for _ in calls]
-    for k in range(repeats):
-        for i in (range(len(calls)) if k % 2 == 0 else reversed(range(len(calls)))):
-            t0 = time.perf_counter()
-            for _ in range(number):
-                calls[i]()
-            per_call[i].append((time.perf_counter() - t0) / number)
+    gc.collect()
+    gc.disable()
+    try:
+        for k in range(repeats):
+            for i in (range(len(calls)) if k % 2 == 0 else reversed(range(len(calls)))):
+                t0 = time.perf_counter()
+                for _ in range(number):
+                    calls[i]()
+                per_call[i].append((time.perf_counter() - t0) / number)
+    finally:
+        gc.enable()
     return per_call
 
 
