@@ -251,7 +251,7 @@ def main(argv=None) -> int:
         code, message = EXIT_IO, exc
     except ValueError as exc:
         code, message = EXIT_VALIDATION, exc
-    except GnpError as exc:
+    except (GnpError, ArithmeticError) as exc:
         code, message = EXIT_NUMERICAL, exc
     print(f"error: {message}", file=sys.stderr)
     return code

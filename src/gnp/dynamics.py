@@ -93,10 +93,12 @@ class Trajectory:
         finite = np.isfinite(X).all(axis=(1, 2))
         if not finite.all():
             raise NumericalError(f"non-finite kernel at step {int(np.argmin(finite))}")
-        self.dets = np.linalg.det(X).astype(complex)
-        diff = self.dets - self.dets[0]
-        # hypot, not np.abs: it rounds |z| as Python's abs(complex) does
-        self.det_drift = np.hypot(diff.real, diff.imag) / max(abs(self.dets[0]), 1e-300)
+        # a finite kernel's det can still overflow: its drift then reads inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.dets = np.linalg.det(X).astype(complex)
+            diff = self.dets - self.dets[0]
+            # hypot, not np.abs: it rounds |z| as Python's abs(complex) does
+            self.det_drift = np.hypot(diff.real, diff.imag) / max(abs(self.dets[0]), 1e-300)
 
     # Python's max skips NaN rows of an overflowed kernel after the first;
     # max_symplectic_residual is None when the trajectory logs none
@@ -116,10 +118,6 @@ class Trajectory:
 def _generator(flow: str, H) -> np.ndarray:
     H = np.asarray(H, dtype=complex)
     return _GENERATORS[flow](structured("J", H.shape[0] // 2), H)
-
-
-def _rhs(B, X) -> np.ndarray:
-    return B @ X + X @ B.T
 
 
 def _propagators(flow: str, H, times) -> np.ndarray:
@@ -144,7 +142,8 @@ def _flow_of(kind: str, variant: str = "b") -> str:
 
 def normal_rhs(R, H) -> np.ndarray:
     """i (R J H - H J R), computed as B R + R B^T with B = -i H J."""
-    return _rhs(_generator("b", H), np.asarray(R, dtype=complex))
+    B, R = _generator("b", H), np.asarray(R, dtype=complex)
+    return B @ R + R @ B.T
 
 
 def covariance_propagator(H, t: float) -> Propagator:
@@ -152,22 +151,14 @@ def covariance_propagator(H, t: float) -> Propagator:
     return Propagator(_propagators("covariance", H, t))
 
 
-def covariance_propagate(sigma0, H, t: float) -> np.ndarray:
-    return _apply(covariance_propagator(H, t).left, sigma0)
-
-
-def normal_propagator(H, t: float, variant: str) -> Propagator:
-    """Closed-form propagator for the normal-product flow.
+def normal_propagate(R0, H, t: float, variant: str = "b") -> np.ndarray:
+    """R(t) = S R0 S^T for the normal-product flow.
 
     variant "a": S = exp(-i J H t), exactly as printed.
     variant "b": S = exp(-i H J t), the ordering that solves the flow
     equation for symmetric H (S^T = exp(+i J H t), since (HJ)^T = -JH).
     """
-    return Propagator(_propagators(_flow_of("normal", variant), H, t))
-
-
-def normal_propagate(R0, H, t: float, variant: str = "b") -> np.ndarray:
-    return _apply(normal_propagator(H, t, variant).left, R0)
+    return _apply(_propagators(_flow_of("normal", variant), H, t), R0)
 
 
 # ---------------------------------------------------------------------------

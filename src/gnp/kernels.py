@@ -81,6 +81,16 @@ def _eq9_ratio(x):
     return (1.0 + np.exp(-x)) / (1.0 - np.exp(-x))
 
 
+def _thermal_weights(omegas) -> np.ndarray:
+    """nu_i = (1 + e^-omega_i)/(1 - e^-omega_i) of positive omegas;
+    DomainError where it is not finite (omega so small that e^-omega = 1)."""
+    with np.errstate(divide="ignore"):
+        nus = _eq9_ratio(omegas)
+    if not np.isfinite(nus).all():
+        raise DomainError(f"nu is not finite at omega {omegas[~np.isfinite(nus)]}")
+    return nus
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -307,11 +317,7 @@ def symplectic_spectrum(G) -> SymplecticSpectrum:
     if len(pos) != n or len(neg) != n or np.abs(pos - neg).max() > 1e-9 * scale:
         raise DomainError("eigenvalues of J G do not pair as +-i omega")
     omegas = 0.5 * (pos + neg)
-    with np.errstate(divide="ignore"):
-        nus = _eq9_ratio(omegas)
-    if not np.isfinite(nus).all():
-        raise DomainError(f"nu is not finite at omega {omegas[~np.isfinite(nus)]}")
-    return SymplecticSpectrum(omegas=omegas, nus=nus)
+    return SymplecticSpectrum(omegas=omegas, nus=_thermal_weights(omegas))
 
 
 def squeeze_symplectic(rs) -> np.ndarray:
@@ -337,7 +343,7 @@ def make_thermal(omegas) -> GaussianState:
 def make_squeezed_thermal(omegas, rs) -> GaussianState:
     """Squeezed thermal state: G = S^T K-tilde S, sigma = S^-1 nu-tilde S^-T
     with the exact inverse S^-1 = S(-r), for finite positive omegas and one
-    finite r per mode; DomainError where G or sigma overflows."""
+    finite r per mode; DomainError where nu, G or sigma is not finite."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
     if not np.all((omegas > 0) & (omegas < np.inf)):
@@ -345,7 +351,7 @@ def make_squeezed_thermal(omegas, rs) -> GaussianState:
     if len(rs) != len(omegas) or not np.all(np.isfinite(rs)):
         raise ValueError("need one finite squeeze parameter per mode")
     Ktilde = np.diag(np.concatenate([omegas, omegas]))
-    nus = _eq9_ratio(omegas)
+    nus = _thermal_weights(omegas)
     nutilde = np.diag(np.concatenate([nus, nus]))
     with np.errstate(over="ignore", invalid="ignore"):
         S, Sinv = squeeze_symplectic(rs), squeeze_symplectic(-rs)
@@ -377,8 +383,9 @@ def husimi_decays(R) -> bool:
 def trace_of_normal_exponential(R) -> float:
     """Tr(:exp(-1/2 A^T R A):) under the d^2z/pi per-mode measure.
 
-    Closed form det(E R)^{-1/2}; DomainError when the coherent-state
-    integrand does not decay.
+    Closed form Re det(E R)^{-1/2}; DomainError when the coherent-state
+    integrand does not decay, or when that value is not finite and positive
+    (husimi_decays reads only the symmetric part of R).
     """
     R = np.asarray(R, dtype=complex)
     n = R.shape[0] // 2
@@ -387,6 +394,10 @@ def trace_of_normal_exponential(R) -> float:
                           "positive definite); divergent Gaussian integral")
     E = structured("E", n)
     det = matcore.determinant(E @ R)
-    val = complex(np.sqrt(det)) ** -1
-    return float(val.real)
+    root = complex(np.sqrt(det))
+    val = (1 / root).real if root else np.inf
+    if not 0.0 < val < np.inf:
+        raise DomainError(f"trace {val!r} of the normal-ordered Gaussian is not "
+                          "finite and positive")
+    return val
 

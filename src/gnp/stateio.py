@@ -25,8 +25,8 @@ class ParseError(GnpError):
 
 
 def _matrix_to_pairs(M) -> list:
-    M = np.asarray(M, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in M]
+    M = np.ascontiguousarray(M, dtype=complex)
+    return M.view(float).reshape(*M.shape, 2).tolist()
 
 
 def _n_modes(doc, path) -> int:
@@ -45,9 +45,9 @@ def _pairs_to_matrix(data, n: int, path) -> np.ndarray:
         raise ParseError(f"{path}: matrix entries must be [re, im] pairs") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ParseError(f"{path}: matrix entries must be [re, im] pairs")
-    M = arr[..., 0] + 1j * arr[..., 1]
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"{path}: non-finite matrix entry")
+    M = arr.view(complex)[..., 0]
     if M.shape != (2 * n, 2 * n):
         raise ParseError(f"{path}: matrix shape {M.shape} does not match "
                          f"n_modes={n}")
@@ -172,7 +172,7 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     cols = ["t"] + [f"k{i}{j}_{part}" for i in range(dim) for j in range(dim)
                     for part in ("re", "im")] + ["det_re", "det_im", *logged]
     table = np.column_stack([traj.times, K.astype(complex).reshape(m, -1).view(float),
-                             traj.dets.real, traj.dets.imag, *logged.values()])
+                             traj.dets[:, None].view(float), *logged.values()])
     return _table_to_csv({"kind": traj.kind}, cols, table)
 
 
@@ -197,9 +197,8 @@ def phase_table_to_csv(table: PhaseTable) -> str:
     lines, then one (re, im, value_re, value_im) row per point."""
     meta = {"function_kind": table.function_kind, "convention": table.convention,
             "measure_note": table.measure_note}
-    rows = np.stack([table.points.real, table.points.imag,
-                     table.values.real, table.values.imag], axis=1, dtype=float)
-    return _table_to_csv(meta, _PHASE_COLUMNS, rows)
+    rows = np.column_stack([table.points, table.values]).astype(complex, copy=False)
+    return _table_to_csv(meta, _PHASE_COLUMNS, rows.view(float))
 
 
 def phase_table_from_csv(text: str) -> PhaseTable:

@@ -46,6 +46,14 @@ def test_state_round_trip(tmp_path):
     np.testing.assert_array_equal(back.forms["sigma"], st.forms["sigma"])
 
 
+def test_state_round_trip_keeps_the_sign_of_zero(tmp_path):
+    M = np.array([[-0.0, complex(0.5, -0.0)], [complex(-0.0, 2.0), 1.0]])
+    path = tmp_path / "st.json"
+    stateio.write_state(path, kernels.GaussianState(1, {"R": M}), "R")
+    back, _ = stateio.read_state(path)
+    assert back.forms["R"].view(np.int64).tolist() == M.view(np.int64).tolist()
+
+
 def test_state_serialization_deterministic(tmp_path):
     st = kernels.make_thermal([1.3])
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -245,11 +253,14 @@ _BAD_N_MODES = [(1.9, "1.9"), (True, "true"), (1.0, "1.0"), (0, "0"), ("1", '"1"
     ({"n_modes": 1, "form": "G", "matrix": [[[float("inf"), 0.0], [0.0, 0.0]],
                                             [[0.0, 0.0], [1.0, 0.0]]]},
      "non-finite matrix entry"),
+    ({"n_modes": 1, "form": "G", "matrix": [[[1.0, float("inf")], [0.0, 0.0]],
+                                            [[0.0, 0.0], [1.0, 0.0]]]},
+     "non-finite matrix entry"),
     ({"n_modes": 1, "matrix": _EYE}, "missing or malformed field ('form')"),
     ({"n_modes": 1, "form": "X", "matrix": _EYE}, "unknown form 'X'"),
     *[({"n_modes": n, "form": "G", "matrix": _EYE},
        f"n_modes must be an integer >= 1, got {text}") for n, text in _BAD_N_MODES],
-], ids=["non-pair", "non-finite", "no-form", "unknown-form",
+], ids=["non-pair", "non-finite", "non-finite-imaginary", "no-form", "unknown-form",
         *[f"n_modes-{text}" for _, text in _BAD_N_MODES]])
 def test_state_parse_errors_exit_3(doc, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -292,16 +303,22 @@ def test_hamiltonian_parse_errors_exit_3(doc, message, evolve_files, tmp_path, c
     (["audit", "R", "--ham", "h1", "--t", "inf", "-o"], 2, "--t must be finite, got inf"),
     (["phase", "G", "--grid=0:1:1.5", "-o"], 1, "grid count must be an integer, got '1.5'"),
     (["phase", "G", "--grid=a:1:3", "-o"], 1, "grid min must be a number, got 'a'"),
+    # its R decays, but the trace behind the calibrated Husimi prefactor is 0
+    (["phase", "indefinite-G", "-o"], 2,
+     "trace 0.0 of the normal-ordered Gaussian is not finite and positive"),
 ], ids=["evolve-negative-t", "evolve-G-file", "phase-two-modes", "phase-bad-grid",
         "spectrum-negative-definite", "evolve-nan-t", "evolve-inf-t", "audit-nan-t",
-        "audit-inf-t", "phase-fractional-grid-count", "phase-non-numeric-grid-bound"])
+        "audit-inf-t", "phase-fractional-grid-count", "phase-non-numeric-grid-bound",
+        "phase-indefinite-G"])
 def test_command_errors_exit_with_their_code(argv, code, message, evolve_files,
                                              tmp_path, capsys):
     files = {**evolve_files, "G": tmp_path / "G.json", "two-mode": tmp_path / "two.json",
-             "negative-G": tmp_path / "neg.json"}
+             "negative-G": tmp_path / "neg.json", "indefinite-G": tmp_path / "ind.json"}
     stateio.write_state(files["G"], kernels.make_thermal([1.3]), "G")
     stateio.write_state(files["two-mode"], kernels.make_thermal([1.3, 0.8]), "sigma")
     stateio.write_state(files["negative-G"], kernels.GaussianState(1, {"G": -np.eye(2)}), "G")
+    stateio.write_state(files["indefinite-G"], kernels.GaussianState(
+        1, {"G": np.array([[1.3, 0.1], [0.1, 0.0]])}), "G")
     out = tmp_path / "out"
     argv = [str(files.get(arg, arg)) for arg in argv] + ([str(out)] if argv[-1] == "-o" else [])
     assert cli.main(argv) == code
@@ -320,6 +337,7 @@ def test_convert_vacuum_boundary_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("error, code", [
     (ParseError, 3), (OSError, 3), (ValueError, 1), (DomainError, 2),
     (NumericalError, 2), (TruncationError, 2), (GnpError, 2),
+    (ZeroDivisionError, 2), (OverflowError, 2),
 ])
 def test_each_error_class_maps_to_its_exit_code(error, code, monkeypatch, capsys):
     def handler(args):
@@ -362,6 +380,19 @@ def test_convert_same_form_identical_matrix(thermal_file, tmp_path):
     original = json.loads(Path(thermal_file).read_text())
     converted = json.loads(out.read_text())
     assert converted["matrix"] == original["matrix"]
+
+
+def test_convert_same_form_reproduces_an_r_file_bit_for_bit(tmp_path):
+    # R of a thermal state holds real parts of -0.0
+    path, out = tmp_path / "r.json", tmp_path / "out.json"
+    R = kernels.ensure_form(kernels.make_thermal([1.3]), "R")
+    stateio.write_state(path, kernels.GaussianState(1, {"R": R}), "R")
+    assert "-0.0" in path.read_text()
+    assert cli.main(["convert", str(path), "--to", "R", "-o", str(out)]) == 0
+    matrix = [json.loads(p.read_text())["matrix"] for p in (path, out)]
+    assert json.dumps(matrix[1]) == json.dumps(matrix[0])
+    back, _ = stateio.read_state(out)
+    assert back.forms["R"].view(np.int64).tolist() == R.view(np.int64).tolist()
 
 
 def test_convert_deterministic_output(thermal_file, tmp_path):

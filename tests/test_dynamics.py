@@ -16,6 +16,12 @@ def thermal_r():
     return kernels.ensure_form(kernels.make_thermal([LN2]), "R")
 
 
+def covariance_propagate(sigma0, H, t):
+    """S sigma0 S^T with S = covariance_propagator(H, t).left."""
+    S = dynamics.covariance_propagator(H, t).left
+    return S @ sigma0 @ S.T
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 
@@ -43,7 +49,7 @@ def test_covariance_flow_preserves_determinant():
     rng = np.random.default_rng(13)
     st = kernels.make_thermal([0.8])
     H = random_symmetric(2, rng)
-    sigma_t = dynamics.covariance_propagate(st.forms["sigma"], H, 1.3)
+    sigma_t = covariance_propagate(st.forms["sigma"], H, 1.3)
     d0 = matcore.determinant(st.forms["sigma"])
     dt = matcore.determinant(sigma_t)
     assert abs(dt - d0) / abs(d0) < 1e-12
@@ -76,10 +82,8 @@ def test_every_flow_propagator_is_symplectic_with_unit_det(n):
     for _ in range(3):
         H = random_symmetric(2 * n, rng, scale=0.5)
         for t in (0.5, 1.0, 2.0):
-            props = {v: dynamics.normal_propagator(H, t, v) for v in ("a", "b")}
-            props["covariance"] = dynamics.covariance_propagator(H, t)
-            for flow, p in props.items():
-                S = p.left
+            for flow in ("a", "b", "covariance"):
+                S = dynamics._propagators(flow, H, t)
                 assert np.abs(S.T @ J @ S - J).max() < 1e-10, (flow, t)
                 assert abs(np.linalg.det(S) - 1) < 1e-12, (flow, t)
 
@@ -124,14 +128,17 @@ def rk4_reference(kind, X0, H, t_end, steps):
     J = structured("J", len(H) // 2)
     B = J @ H if kind == "covariance" else -1j * H @ J
     X = np.asarray(X0, dtype=complex)
+
+    def rhs(X):
+        return B @ X + X @ B.T
     h = t_end / steps
     det0 = np.linalg.det(X)
     kernels_, drift = [X], [0.0]
     for k in range(steps):
-        k1 = dynamics._rhs(B, X)
-        k2 = dynamics._rhs(B, X + 0.5 * h * k1)
-        k3 = dynamics._rhs(B, X + 0.5 * h * k2)
-        k4 = dynamics._rhs(B, X + h * k3)
+        k1 = rhs(X)
+        k2 = rhs(X + 0.5 * h * k1)
+        k3 = rhs(X + 0.5 * h * k2)
+        k4 = rhs(X + h * k3)
         X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(X)):
             raise matcore.NumericalError(f"non-finite kernel at step {k + 1}")
@@ -281,7 +288,7 @@ def test_rk4_covariance_matches_symplectic_closed_form():
     st = kernels.make_squeezed_thermal([1.1], [0.2])
     H = random_symmetric(2, rng)
     traj = dynamics.integrate_rk4("covariance", st.forms["sigma"], H, 1.0, 500)
-    closed = dynamics.covariance_propagate(st.forms["sigma"], H, 1.0)
+    closed = covariance_propagate(st.forms["sigma"], H, 1.0)
     np.testing.assert_allclose(traj.kernels[-1], closed, atol=1e-8)
 
 
@@ -363,6 +370,15 @@ def test_caller_built_trajectory_carries_its_invariants():
                                   complex(np.linalg.det(2.0 * R0.real))]
     assert traj.det_drift.tolist() == [0.0, 3.0]
     assert traj.symplectic_residual is None
+
+
+def test_an_overflowed_det_reads_as_an_infinite_drift_without_a_warning():
+    # every kernel of the run is finite, but det R overflows from t = 54.9 on
+    R0 = kernels.ensure_form(kernels.make_thermal([1.3]), "R")
+    traj = dynamics.closed_form_trajectory(
+        "normal", R0, np.array([[4.0, 0.5], [0.5, 3.0]]), 90.0, 100)
+    assert np.isfinite(traj.kernels).all()
+    assert not np.isfinite(traj.dets[-1]) and traj.max_det_drift == np.inf
 
 
 def test_empty_trajectory_is_refused():
@@ -452,7 +468,7 @@ def convention_audit_reference(state, H, t_end):
     R0 = kernels.ensure_form(state, "R")
     residuals = {"a": 0.0, "b": 0.0}
     for t in np.linspace(0.0, t_end, dynamics.CONVENTION_SAMPLES):
-        R_from_sigma = kernels.sigma_to_r(dynamics.covariance_propagate(sigma0, H, t))
+        R_from_sigma = kernels.sigma_to_r(covariance_propagate(sigma0, H, t))
         for v in residuals:
             R_v = dynamics.normal_propagate(R0, H, t, v)
             residuals[v] = max(residuals[v], float(np.abs(R_v - R_from_sigma).max()))
@@ -497,16 +513,15 @@ def test_closed_form_trajectory_equals_per_time_propagation(flow, n):
         traj = dynamics.closed_form_trajectory(kind, X0, H, t_end, steps, variant)
         m = steps + 1 if t_end > 0 else 1
         assert traj.times.shape == (m,) and traj.kernels.shape == (m, 2 * n, 2 * n)
+        props = [dynamics._propagators(flow, H, t) for t in traj.times]
         if kind == "covariance":
-            per_time = [dynamics.covariance_propagate(X0, H, t) for t in traj.times]
-            props = [dynamics.covariance_propagator(H, t) for t in traj.times]
+            per_time = [covariance_propagate(X0, H, t) for t in traj.times]
         else:
             per_time = [dynamics.normal_propagate(X0, H, t, variant)
                         for t in traj.times]
-            props = [dynamics.normal_propagator(H, t, variant) for t in traj.times]
         # every flow logs the residual of the S it applied
         assert traj.symplectic_residual.tolist() == [
-            matcore.symplectic_residual(p.left) for p in props]
+            matcore.symplectic_residual(S) for S in props]
         assert np.array_equal(traj.kernels, per_time)
         dets = [complex(np.linalg.det(X)) for X in per_time]
         assert traj.det_drift.tolist() == [

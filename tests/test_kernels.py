@@ -186,6 +186,12 @@ def test_symplectic_spectrum_refuses_an_infinite_thermal_weight():
         kernels.symplectic_spectrum(np.diag([1e-17, 0.5, 1e-17, 0.5]))
 
 
+def test_squeezed_thermal_refuses_an_infinite_thermal_weight():
+    # symplectic_spectrum's guard, before any squeeze is applied
+    with pytest.raises(DomainError, match=r"^nu is not finite at omega \[1\.e-17\]$"):
+        kernels.make_squeezed_thermal([1e-17], [0.0])
+
+
 def test_symplectic_spectrum_rejects_asymmetric():
     with pytest.raises(DomainError):
         kernels.symplectic_spectrum(np.array([[1.0, 0.2], [0.0, 1.0]]))
@@ -295,6 +301,16 @@ def test_trace_of_normal_exponential_rejects_growth():
     E = structured("E", 1)
     with pytest.raises(DomainError):
         kernels.trace_of_normal_exponential(-0.5 * E)
+
+
+def test_trace_of_normal_exponential_refuses_a_value_not_positive():
+    # -R (the calibrated map) of a G that is not positive definite: its
+    # symmetric part decays, but det(E R) < 0, so Re det(E R)^(-1/2) = 0
+    R = -kernels.g_to_r(np.array([[1.3, 0.1], [0.1, 0.0]]))
+    assert kernels.husimi_decays(R)
+    with pytest.raises(DomainError, match=r"^trace 0\.0 of the normal-ordered Gaussian "
+                       r"is not finite and positive$"):
+        kernels.trace_of_normal_exponential(R)
 
 
 def test_husimi_decays_follows_the_kernel_sign():

@@ -9,6 +9,7 @@ file it wrote.  The input files are hashed under the key "setup".
     python tools/cli_digest.py out.json                        # ./src
     python tools/cli_digest.py out.json --against OTHER/src    # and compare
 
+Each tree's line also counts the commands that raised a warning.
 --against also digests the gnp tree at OTHER/src, loaded into this process
 under its own package name, prints the commands whose digests differ with
 the parts of each that differ, and exits 1 on any difference.
@@ -213,6 +214,12 @@ def digest(gnp) -> dict:
     return result
 
 
+def warned(result: dict) -> int:
+    """How many commands of a digest raised a warning."""
+    return sum(1 for key, parts in result.items()
+               if key != "setup" and parts["warnings"])
+
+
 def compare(a: dict, b: dict) -> int:
     """Print the keys whose digests differ, with the parts that differ for a
     command; returns their count."""
@@ -237,10 +244,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     result = digest(load(SRC, "gnp_this"))
     Path(args.output).write_text(json.dumps(hashes(result), indent=1) + "\n")
-    print(f"{len(result) - 1} commands digested to {args.output}")
+    print(f"{len(result) - 1} commands digested to {args.output}, "
+          f"{warned(result)} raised a warning")
     if args.against is None:
         return 0
-    return 1 if compare(result, digest(load(args.against, "gnp_other"))) else 0
+    other = digest(load(args.against, "gnp_other"))
+    print(f"{len(other) - 1} commands digested on {args.against}, "
+          f"{warned(other)} raised a warning")
+    return 1 if compare(result, other) else 0
 
 
 if __name__ == "__main__":

@@ -24,14 +24,16 @@ dataclasses, dicts, lists and tuples), or "only in this tree" if its call
 raises on the other tree.  The other tree's figures go under each case's
 "against".
 
-The cases are the matcore primitives (L0), the dynamics (L2), the
-phase-space commands (L3), the Fock oracle (L4), the calibration (L5) and
-file I/O (io): the four structured matrices J, Omega, E and I of four modes;
-mat_exp of the 8x8 normal-flow generator -i H J with H = I + 0.1 (every
-entry); normal_propagate of a 4-mode squeezed thermal R under that H, one
-call at each of 101 times in [0, 1]; integrate_rk4 of the normal flow over
-1000 steps to t = 1 for a 2-mode squeezed thermal R under I + 0.1 and for
-the 4-mode R; in-process
+The cases are the matcore primitives (L0), the kernel conversions (L1),
+the dynamics (L2), the phase-space commands (L3), the Fock oracle (L4), the
+calibration (L5) and file I/O (io): the four structured matrices J, Omega, E
+and I of four modes; mat_exp of the 8x8 normal-flow generator -i H J with
+H = I + 0.1 (every entry); g_to_sigma, sigma_to_r and g_to_r of a 4-mode
+squeezed thermal state, on its one kernel and on a stack of 1001 such
+kernels whose frequencies are scaled by 1 + k/1000; normal_propagate of
+that state's R under that H, one call at each of 101 times in [0, 1];
+integrate_rk4 of the normal flow over 1000 steps to t = 1 for a 2-mode
+squeezed thermal R under I + 0.1 and for the 4-mode R; in-process
 `gnp phase --fn q --convention calibrated --grid=-2:2:41` and
 `gnp phase --fn wigner --grid=-2:2:41` through cli.main on a one-mode
 squeezed thermal state; gaussian_density on a separable
@@ -40,10 +42,11 @@ at 40 and on a beam-split (coupled) two-mode spec at 12; quad_operator on
 the one-mode kernel at 48; one liouville_step of a one-mode thermal density
 at 40; r_from_q_hessian of the separable two-mode density at 22;
 calibrate(40); an in-process `gnp audit --with-oracle --cutoff 40` on the
-same state; and a trajectory CSV round trip (trajectory_to_csv, then
-trajectory_from_csv) of a 4-mode, 101-row closed-form normal trajectory.
-The command cases keep their files in a temporary directory per tree and
-return the bytes of the file they wrote.
+same state; a trajectory CSV round trip (trajectory_to_csv, then
+trajectory_from_csv) of a 4-mode, 101-row closed-form normal trajectory;
+and write_state, then read_state, of the 4-mode state's sigma.
+The command and state-file cases keep their files in a temporary directory
+per tree and return the bytes of the file they wrote.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ def load(src, name: str):
 
 def cases(gnp, workdir: Path) -> list:
     """(layer, name, call) for every case, built from the loaded package gnp;
-    the command cases' files go in workdir."""
+    the command and state-file cases' files go in workdir."""
     import numpy as np
     bridge, cli, dynamics, fo, kernels, matcore, stateio = (
         gnp.bridge, gnp.cli, gnp.dynamics, gnp.fockoracle, gnp.kernels, gnp.matcore,
@@ -107,8 +110,14 @@ def cases(gnp, workdir: Path) -> list:
     state, ham = workdir / "state.json", workdir / "ham.json"
     stateio.write_state(state, kernels.make_squeezed_thermal([0.8], [0.3]), "sigma")
     stateio.write_hamiltonian(ham, dynamics.QuadraticHamiltonian(1, [[0.9, 0.2], [0.2, 0.7]]))
-    four = kernels.make_squeezed_thermal([0.6, 0.9, 1.2, 1.5], [0.3, -0.2, 0.1, 0.0])
+    omegas4, rs4 = np.array([0.6, 0.9, 1.2, 1.5]), [0.3, -0.2, 0.1, 0.0]
+    four = kernels.make_squeezed_thermal(omegas4, rs4)
     R4, H4 = kernels.ensure_form(four, "R"), np.eye(8) + 0.1
+    G4, sigma4 = four.forms["G"], four.forms["sigma"]
+    stack = [kernels.make_squeezed_thermal(omegas4 * (1.0 + 1e-3 * k), rs4)
+             for k in range(1001)]
+    Gs, sigmas = (np.stack([st.forms[form] for st in stack]) for form in ("G", "sigma"))
+    state4 = workdir / "four.json"
     traj = dynamics.closed_form_trajectory("normal", R4, H4, 1.0, 100)
     R2 = kernels.ensure_form(kernels.make_squeezed_thermal([0.6, 0.9], [0.3, -0.2]), "R")
     B4 = -1j * H4 @ matcore.structured("J", 4)
@@ -120,6 +129,10 @@ def cases(gnp, workdir: Path) -> list:
                     raise RuntimeError(f"gnp {argv[0]} failed")
             return output.read_bytes()
         return call
+
+    def state_json():
+        stateio.write_state(state4, four, "sigma")
+        return state4.read_bytes(), stateio.read_state(state4)
     table = [("L4", f"gaussian_density 2-mode separable cutoff {cutoff}",
               lambda cutoff=cutoff: fo.gaussian_density(separable, cutoff))
              for cutoff in (14, 18, 22)]
@@ -127,6 +140,12 @@ def cases(gnp, workdir: Path) -> list:
         ("L0", "structured J, Omega, E, I 4-mode",
          lambda: [matcore.structured(kind, 4) for kind in ("J", "Omega", "E", "I")]),
         ("L0", "mat_exp 8x8", lambda: matcore.mat_exp(B4)),
+        ("L1", "g_to_sigma 4-mode", lambda: kernels.g_to_sigma(G4)),
+        ("L1", "g_to_sigma 4-mode stack of 1001", lambda: kernels.g_to_sigma(Gs)),
+        ("L1", "sigma_to_r 4-mode", lambda: kernels.sigma_to_r(sigma4)),
+        ("L1", "sigma_to_r 4-mode stack of 1001", lambda: kernels.sigma_to_r(sigmas)),
+        ("L1", "g_to_r 4-mode", lambda: kernels.g_to_r(G4)),
+        ("L1", "g_to_r 4-mode stack of 1001", lambda: kernels.g_to_r(Gs)),
         ("L2", "normal_propagate 4-mode at 101 times",
          lambda: [dynamics.normal_propagate(R4, H4, t) for t in np.linspace(0.0, 1.0, 101)]),
         ("L2", "integrate_rk4 normal 2-mode 1000 steps",
@@ -155,6 +174,7 @@ def cases(gnp, workdir: Path) -> list:
                  "--t", "1", "--with-oracle", "--cutoff", "40")),
         ("io", "trajectory CSV round trip 4-mode 101 rows",
          lambda: stateio.trajectory_from_csv(stateio.trajectory_to_csv(traj))),
+        ("io", "state JSON write and read 4-mode", state_json),
     ]
 
 
