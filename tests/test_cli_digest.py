@@ -48,3 +48,9 @@ def test_the_map_holds_one_hash_per_command(cli_digest):
     whole = hashlib.sha256(b"0\0out\n\0\0\0" + b"f" * 64 + b"\0").hexdigest()
     assert cli_digest.hashes({"setup": "a" * 64, "cmd": parts(cli_digest)}) == {
         "setup": "a" * 64, "cmd": whole}
+
+
+def test_warned_counts_the_commands_that_raised_a_warning(cli_digest):
+    result = {"setup": "a" * 64, "silent": parts(cli_digest),
+              "warns": parts(cli_digest, warnings="RuntimeWarning: overflow\n")}
+    assert cli_digest.warned(result) == 1

@@ -127,10 +127,12 @@ def rk4_reference(kind, X0, H, t_end, steps):
     and the det drift of each step."""
     J = structured("J", len(H) // 2)
     B = J @ H if kind == "covariance" else -1j * H @ J
-    X = np.asarray(X0, dtype=complex)
 
     def rhs(X):
+        # written out here: the reference takes nothing from the code it checks
         return B @ X + X @ B.T
+
+    X = np.asarray(X0, dtype=complex)
     h = t_end / steps
     det0 = np.linalg.det(X)
     kernels_, drift = [X], [0.0]
