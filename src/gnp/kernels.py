@@ -185,22 +185,22 @@ def sigma_to_g(sigma) -> np.ndarray:
     """Inverse of g_to_sigma: G = 2 Omega arccoth(sigma Omega).
 
     Raises DomainError when sigma Omega has an eigenvalue in [-1, 1]
-    (the state would sit on or beyond the vacuum boundary).
+    (the state would sit on or beyond the vacuum boundary), checked on the
+    eigenvalues of mat_analytic's one diagonalisation of sigma Omega.
     """
     sigma = np.asarray(sigma, dtype=complex)
-    n = sigma.shape[-1] // 2
-    Om = structured("Omega", n)
-    M = sigma @ Om
-    vals = np.linalg.eigvals(M)
-    bad = (np.abs(vals.imag) < 1e-10) & (np.abs(vals.real) <= 1.0 + 1e-10)
-    if np.any(bad):
-        bad, where = matcore.first_failing(vals, bad)
-        raise DomainError(
-            f"sigma*Omega has eigenvalue(s) {bad} in [-1, 1]; "
-            f"arccoth is undefined there (unphysical sigma){where}"
-        )
-    arccoth = lambda x: 0.5 * np.log((x + 1.0) / (x - 1.0))
-    return 2.0 * Om @ matcore.mat_analytic(M, arccoth)
+    Om = structured("Omega", sigma.shape[-1] // 2)
+
+    def arccoth(vals):
+        bad = (np.abs(vals.imag) < 1e-10) & (np.abs(vals.real) <= 1.0 + 1e-10)
+        if np.any(bad):
+            bad, where = matcore.first_failing(vals, bad)
+            raise DomainError(
+                f"sigma*Omega has eigenvalue(s) {bad} in [-1, 1]; "
+                f"arccoth is undefined there (unphysical sigma){where}"
+            )
+        return 0.5 * np.log((vals + 1.0) / (vals - 1.0))
+    return 2.0 * Om @ matcore.mat_analytic(sigma @ Om, arccoth)
 
 
 def sigma_to_r(sigma) -> np.ndarray:

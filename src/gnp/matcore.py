@@ -3,16 +3,17 @@
 Structured constant matrices, matrix exponential, analytic matrix functions
 via eigendecomposition, determinants, linear solves and symplectic residuals.
 All kernels in this package are small (2n x 2n with n <= 4 in practice), so
-everything here is plain dense linear algebra on complex128 arrays. Every
-primitive takes a finite (d, d) matrix, giving Python scalars, or an
-(m, d, d) stack, giving (m,) arrays; a guard refuses a non-finite value or
-one above its limit, on a stack of two or more naming the first failing one.
+everything here is plain dense linear algebra on complex128 arrays. One
+shape rule: every primitive takes a finite (d, d) matrix or an (m, d, d)
+stack and returns numpy values, with a leading axis of m for a stack (a
+numpy scalar, never a Python one, for one matrix's determinant or residual);
+a guard refuses a non-finite value or one above its limit, on a stack of two
+or more naming the first failing one.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,7 +24,7 @@ TOL_EIG = 1e-9        # relative eigendecomposition reconstruction residual
 TOL_SOLVE = 1e-10     # relative linear-solve residual
 COND_LIMIT = 1e12     # condition number beyond which we refuse to proceed
 
-_KINDS = ("J", "Omega", "E", "I")
+_KINDS = ("J", "Omega", "E")
 
 
 def _as_squares(M) -> np.ndarray:
@@ -60,8 +61,8 @@ def structured(kind: str, n_modes: int) -> np.ndarray:
     """Return one of the exact 0/+-1 constant matrices, built once per
     (kind, n_modes) and read-only.
 
-    J = [[0, I], [-I, 0]], Omega = [[I, 0], [0, -I]], E = [[0, I], [I, 0]],
-    I = identity, each of size 2*n_modes.
+    J = [[0, I], [-I, 0]], Omega = [[I, 0], [0, -I]] and E = [[0, I], [I, 0]],
+    each of size 2*n_modes.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown structured kind {kind!r}, expected one of {_KINDS}")
@@ -80,47 +81,10 @@ def _structured(kind: str, n: int) -> np.ndarray:
         M = np.block([[zero, eye], [-eye, zero]])
     elif kind == "Omega":
         M = np.block([[eye, zero], [zero, -eye]])
-    elif kind == "E":
-        M = np.block([[zero, eye], [eye, zero]])
     else:
-        M = np.eye(2 * n)
+        M = np.block([[zero, eye], [eye, zero]])
     M.flags.writeable = False       # every caller shares this one array
     return M
-
-
-@dataclass(frozen=True)
-class EigDecomp:
-    """Eigendecomposition M = V diag(values) V^-1 with a condition estimate
-    (a float for one matrix, an (m,) array for a stack)."""
-
-    values: np.ndarray
-    right_vectors: np.ndarray
-    inverse_vectors: np.ndarray       # V^-1
-    condition_estimate: float | np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.right_vectors * self.values[..., None, :]) @ self.inverse_vectors
-
-
-def eig_decomp(M) -> EigDecomp:
-    """Diagonalize M, refusing ill-conditioned eigenbases.
-
-    Raises NumericalError if the eigenvector matrix condition exceeds
-    COND_LIMIT or the reconstruction residual exceeds TOL_EIG * ||M||.
-    """
-    M = _as_squares(M)
-    values, vectors = np.linalg.eig(M)
-    cond = np.linalg.cond(vectors)
-    guard(cond, COND_LIMIT, "eigenbasis condition {:.3e} exceeds {:.1e}; "
-          "matrix is defective or near-defective")
-    dec = EigDecomp(values=values, right_vectors=vectors,
-                    inverse_vectors=np.linalg.inv(vectors),
-                    condition_estimate=float(cond) if M.ndim == 2 else cond)
-    scale = np.maximum(np.linalg.norm(M, axis=(-2, -1)), 1e-300)
-    residual = np.linalg.norm(dec.reconstruct() - M, axis=(-2, -1)) / scale
-    guard(residual, TOL_EIG,
-          "eigendecomposition reconstruction residual {:.3e} > {:.0e}")
-    return dec
 
 
 def mat_exp(M) -> np.ndarray:
@@ -137,24 +101,36 @@ def mat_exp(M) -> np.ndarray:
 def mat_analytic(M, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Evaluate a scalar analytic function of a diagonalizable matrix.
 
-    Computes V f(diag lambda) V^-1. Raises DomainError if f is non-finite at
-    an eigenvalue (e.g. coth at 0) and NumericalError for a bad eigenbasis.
+    Computes V f(diag lambda) V^-1 from one eigendecomposition.  Raises
+    NumericalError if the eigenvector matrix condition exceeds COND_LIMIT or
+    the reconstruction V diag(lambda) V^-1 misses M by more than
+    TOL_EIG * ||M||, and DomainError if f is non-finite at an eigenvalue
+    (e.g. coth at 0).
     """
-    dec = eig_decomp(M)
+    M = _as_squares(M)
+    values, vectors = np.linalg.eig(M)
+    guard(np.linalg.cond(vectors), COND_LIMIT, "eigenbasis condition {:.3e} "
+          "exceeds {:.1e}; matrix is defective or near-defective")
+    inverse_vectors = np.linalg.inv(vectors)
+    at = lambda w: (vectors * w[..., None, :]) @ inverse_vectors
+    scale = np.maximum(np.linalg.norm(M, axis=(-2, -1)), 1e-300)
+    residual = np.linalg.norm(at(values) - M, axis=(-2, -1)) / scale
+    guard(residual, TOL_EIG,
+          "eigendecomposition reconstruction residual {:.3e} > {:.0e}")
     with np.errstate(all="ignore"):
-        fvals = np.asarray(f(dec.values), dtype=complex)
-    if fvals.shape != dec.values.shape:
+        fvals = np.asarray(f(values), dtype=complex)
+    if fvals.shape != values.shape:
         raise ValueError("f must map the eigenvalue vector elementwise")
     if not np.all(np.isfinite(fvals)):
-        bad, where = first_failing(dec.values, ~np.isfinite(fvals))
+        bad, where = first_failing(values, ~np.isfinite(fvals))
         raise DomainError(f"function not finite at eigenvalue(s) {bad}{where}")
-    return (dec.right_vectors * fvals[..., None, :]) @ dec.inverse_vectors
+    return at(fvals)
 
 
-def determinant(M) -> complex | np.ndarray:
-    """LU-based determinant."""
-    det = np.linalg.det(_as_squares(M))
-    return complex(det) if det.ndim == 0 else det
+def determinant(M) -> np.ndarray:
+    """LU-based determinant; one that overflows reads inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.det(_as_squares(M))
 
 
 def dense_solve(M, B) -> np.ndarray:
@@ -178,7 +154,7 @@ def inverse(M) -> np.ndarray:
     return dense_solve(M, np.eye(np.shape(M)[-1]))
 
 
-def symplectic_residual(S) -> float | np.ndarray:
+def symplectic_residual(S) -> np.ndarray:
     """max(||S^T J S - J||, ||S J S^T - J||) in the max (entrywise) norm,
     of S or of each matrix of a stack."""
     S = _as_squares(S)
@@ -189,8 +165,7 @@ def symplectic_residual(S) -> float | np.ndarray:
     St = np.swapaxes(S, -1, -2)
     r1 = np.abs(_times_j(St, n) @ S - J).max(axis=(-2, -1))
     r2 = np.abs(_times_j(S, n) @ St - J).max(axis=(-2, -1))
-    residual = np.maximum(r1, r2)
-    return float(residual) if S.ndim == 2 else residual
+    return np.maximum(r1, r2)
 
 
 def _times_j(M, n: int) -> np.ndarray:

@@ -87,11 +87,19 @@ def _gaussian(state: GaussianState, function_kind: str,
 def _values(N, K, z) -> np.ndarray:
     """N exp(-1/2 Z^T K Z) at Z = (z_1..z_n, z_1*..z_n*) for each row of z,
     (m, n); N None reads as 1.  The stacked products repeat the 1-D
-    Z @ K @ Z bit for bit; einsum does not."""
+    Z @ K @ Z bit for bit; einsum does not.  Raises DomainError at the first
+    row whose value is not finite."""
     z = np.asarray(z, dtype=complex)
     Z = np.concatenate([z, z.conj()], axis=1)
-    values = np.exp(-0.5 * (Z[:, None, :] @ K @ Z[:, :, None])[:, 0, 0])
-    return values if N is None else N * values
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.exp(-0.5 * (Z[:, None, :] @ K @ Z[:, :, None])[:, 0, 0])
+        if N is not None:
+            values = N * values
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(finite.argmin())
+        raise DomainError(f"phase-space value {values[k]} is not finite at z = {z[k]}")
+    return values
 
 
 def _at_point(state: GaussianState, function_kind: str, z,

@@ -239,6 +239,27 @@ def test_validate_singular_g_exits_1(tmp_path, capsys):
         in capsys.readouterr().out
 
 
+def test_validate_reads_an_overflowing_det_r_as_inf(tmp_path, capsys):
+    # det R = 1.69 - 1e400 overflows: it reads inf, without numpy's warnings
+    path = tmp_path / "huge.json"
+    R = np.array([[1.3, 1e200], [1e200, 1.3]])
+    stateio.write_state(path, kernels.GaussianState(1, {"R": R}), "R")
+    assert cli.main(["validate", str(path)]) == 0
+    assert "ok   R.nonsingular: residual 0.000e+00 (tol 5e-01)  [|det R| = inf]" \
+        in capsys.readouterr().out
+
+
+def test_phase_refuses_a_non_finite_value_and_writes_nothing(tmp_path, capsys):
+    # an unphysical sigma whose Wigner exponent overflows on the grid
+    path, out = tmp_path / "sigma.json", tmp_path / "w.csv"
+    sigma = np.array([[0.0, 0.1], [0.1, 1.3]])
+    stateio.write_state(path, kernels.GaussianState(1, {"sigma": sigma}), "sigma")
+    assert cli.main(["phase", str(path), "--fn", "wigner", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: phase-space value (nan-infj) is not finite at z = [-2.-2.j]\n"
+    assert not out.exists()
+
+
 def test_missing_file_exits_3(capsys):
     assert cli.main(["validate", "no-such-file.json"]) == 3
 

@@ -427,6 +427,20 @@ def test_ordering_audit_accepts_variant_b_on_a_grown_kernel():
     assert rep.residuals["a"] > 0.3 * 1.9e3   # relative residual ~0.35
 
 
+@pytest.mark.parametrize("factor, consistent", [(2.0, ["b"]), (0.5, [])])
+def test_audit_tol_just_inside_and_outside(factor, consistent, monkeypatch):
+    # AUDIT_TOL set around variant b's residual ratio worst / max(1, max|rhs|),
+    # its rhs taken at the audit's sample times; variant a stays far outside
+    R0, H = thermal_r(), np.array([[4.0, 0.5], [0.5, 3.0]])
+    ts = np.linspace(1.0 / dynamics.AUDIT_SAMPLES, 1.0, dynamics.AUDIT_SAMPLES)
+    scale = max(np.abs(dynamics.normal_rhs(dynamics.normal_propagate(R0, H, t), H)).max()
+                for t in ts)
+    ratio = dynamics.ordering_audit(R0, H, 1.0).residuals["b"] / max(1.0, scale)
+    assert 0 < ratio < dynamics.AUDIT_TOL
+    monkeypatch.setattr(dynamics, "AUDIT_TOL", factor * ratio)
+    assert dynamics.ordering_audit(R0, H, 1.0).consistent_variants == consistent
+
+
 def test_ordering_audit_vacuous_for_stationary_kernel():
     rep = dynamics.ordering_audit(thermal_r(), structured("E", 1), 1.0)
     assert rep.vacuous

@@ -52,6 +52,19 @@ def test_wigner_finite_on_grid():
     assert vals.real.max() <= 1.0 + 1e-12
 
 
+def test_a_non_finite_value_raises_at_a_point_and_on_a_grid():
+    # an unphysical sigma whose Wigner exponent grows: finite at the origin,
+    # overflowing at z = 2 + 2i; a decaying value that underflows to 0 stays
+    st = kernels.GaussianState(1, {"sigma": np.array([[0.0, 0.1], [0.1, 1.3]])})
+    assert np.isfinite(phasespace.wigner(st, 2.0))
+    with pytest.raises(DomainError, match=r"^phase-space value \(nan-infj\) is not "
+                                          r"finite at z = \[2\.\+2\.j\]$"):
+        phasespace.wigner(st, 2.0 + 2.0j)
+    with pytest.raises(DomainError, match=r"at z = \[-2\.-2\.j\]$"):
+        phasespace.grid_eval(st, "wigner", PhaseGrid((-2, 2, 41), (-2, 2, 41)))
+    assert phasespace.wigner(thermal(), 40.0) == 0.0
+
+
 def test_wigner_thermal_center_value():
     # W(0) = det(sigma)^{-1/2} = 1/nu for a single thermal mode
     st = thermal()

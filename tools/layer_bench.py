@@ -26,14 +26,17 @@ raises on the other tree.  The other tree's figures go under each case's
 
 The cases are the matcore primitives (L0), the kernel conversions (L1),
 the dynamics (L2), the phase-space commands (L3), the Fock oracle (L4), the
-calibration (L5) and file I/O (io): the four structured matrices J, Omega, E
-and I of four modes; mat_exp of the 8x8 normal-flow generator -i H J with
-H = I + 0.1 (every entry); g_to_sigma, sigma_to_r and g_to_r of a 4-mode
-squeezed thermal state, on its one kernel and on a stack of 1001 such
-kernels whose frequencies are scaled by 1 + k/1000; normal_propagate of
-that state's R under that H, one call at each of 101 times in [0, 1];
+calibration (L5) and file I/O (io): the three structured matrices J, Omega
+and E of four modes; mat_exp of the 8x8 normal-flow generator -i H J with
+H = I + 0.1 (every entry), and of that generator times each of 1001 times
+in [0, 1]; for a 4-mode squeezed thermal state, on its one kernel and on a
+stack of 1001 such kernels whose frequencies are scaled by 1 + k/1000,
+mat_analytic of coth(x/2) at Omega G (8x8), determinant and inverse of
+sigma, and g_to_sigma, sigma_to_r and g_to_r; normal_propagate of that
+state's R under that H, one call at each of 101 times in [0, 1];
 integrate_rk4 of the normal flow over 1000 steps to t = 1 for a 2-mode
-squeezed thermal R under I + 0.1 and for the 4-mode R; in-process
+squeezed thermal R under I + 0.1 and for the 4-mode R, and
+closed_form_trajectory of the 2-mode one over the same 1000 steps; in-process
 `gnp phase --fn q --convention calibrated --grid=-2:2:41` and
 `gnp phase --fn wigner --grid=-2:2:41` through cli.main on a one-mode
 squeezed thermal state; gaussian_density on a separable
@@ -121,6 +124,9 @@ def cases(gnp, workdir: Path) -> list:
     traj = dynamics.closed_form_trajectory("normal", R4, H4, 1.0, 100)
     R2 = kernels.ensure_form(kernels.make_squeezed_thermal([0.6, 0.9], [0.3, -0.2]), "R")
     B4 = -1j * H4 @ matcore.structured("J", 4)
+    Bs = np.multiply.outer(np.linspace(0.0, 1.0, 1001), B4)
+    Om4 = matcore.structured("Omega", 4)
+    coth_half = lambda x: 1.0 / np.tanh(x / 2.0)
 
     def command(output, *argv):
         def call():
@@ -137,9 +143,18 @@ def cases(gnp, workdir: Path) -> list:
               lambda cutoff=cutoff: fo.gaussian_density(separable, cutoff))
              for cutoff in (14, 18, 22)]
     return [
-        ("L0", "structured J, Omega, E, I 4-mode",
-         lambda: [matcore.structured(kind, 4) for kind in ("J", "Omega", "E", "I")]),
+        ("L0", "structured J, Omega, E 4-mode",
+         lambda: [matcore.structured(kind, 4) for kind in ("J", "Omega", "E")]),
         ("L0", "mat_exp 8x8", lambda: matcore.mat_exp(B4)),
+        ("L0", "mat_exp 8x8 stack of 1001", lambda: matcore.mat_exp(Bs)),
+        ("L0", "mat_analytic coth(x/2) 8x8 Omega G",
+         lambda: matcore.mat_analytic(Om4 @ G4, coth_half)),
+        ("L0", "mat_analytic coth(x/2) 8x8 Omega G stack of 1001",
+         lambda: matcore.mat_analytic(Om4 @ Gs, coth_half)),
+        ("L0", "determinant 8x8 sigma", lambda: matcore.determinant(sigma4)),
+        ("L0", "determinant 8x8 sigma stack of 1001", lambda: matcore.determinant(sigmas)),
+        ("L0", "inverse 8x8 sigma", lambda: matcore.inverse(sigma4)),
+        ("L0", "inverse 8x8 sigma stack of 1001", lambda: matcore.inverse(sigmas)),
         ("L1", "g_to_sigma 4-mode", lambda: kernels.g_to_sigma(G4)),
         ("L1", "g_to_sigma 4-mode stack of 1001", lambda: kernels.g_to_sigma(Gs)),
         ("L1", "sigma_to_r 4-mode", lambda: kernels.sigma_to_r(sigma4)),
@@ -152,6 +167,8 @@ def cases(gnp, workdir: Path) -> list:
          lambda: dynamics.integrate_rk4("normal", R2, H4[:4, :4], 1.0, 1000)),
         ("L2", "integrate_rk4 normal 4-mode 1000 steps",
          lambda: dynamics.integrate_rk4("normal", R4, H4, 1.0, 1000)),
+        ("L2", "closed_form_trajectory normal 2-mode 1000 steps",
+         lambda: dynamics.closed_form_trajectory("normal", R2, H4[:4, :4], 1.0, 1000)),
         ("L3", "gnp phase --fn q calibrated grid 41x41",
          command(workdir / "q.csv", "phase", str(state), "--fn", "q",
                  "--convention", "calibrated", "--grid=-2:2:41")),
